@@ -12,15 +12,18 @@
 //!             [--metrics-out PATH]                   # multi-host soak
 //! serve_probe --chaos-net [--seed S] [--rows N] [--dir D]
 //!             [--metrics-out PATH]                   # network chaos soak
-//! serve_probe --server [--workers N] [--queue-cap N] [--budget-ms N]
-//!             [--checkpoint-dir D] [--faults SPEC]
-//!             [--addr HOST:PORT] [--peers LIST]      # child mode
+//! serve_probe --server [--NAME VALUE ...]            # child mode
 //! ```
 //!
 //! The parent re-execs itself (`current_exe`) in `--server` mode so the
 //! soak exercises real process boundaries: SIGKILL loses everything not
 //! on disk, SIGTERM triggers the cooperative drain path, and the client
-//! side sees genuine connection resets, not in-process shortcuts.
+//! side sees genuine connection resets, not in-process shortcuts. Child
+//! mode takes the `fastofd serve` flags, parsed by the same table
+//! (`ofd_serve::SERVE_FLAGS`); children are launched and their banners
+//! scraped by `ofd_serve::spawn_worker`, and every request goes through
+//! `ofd_serve::exchange`. The five soaks are dispatched from one table,
+//! `SCENARIOS`.
 //!
 //! Phases (default mode):
 //! 1. **Shed** — burst a tiny-queue server; retried-with-backoff clients
@@ -75,10 +78,10 @@
 //! counters must attribute every injected fault, and re-running with the
 //! same seed must replay the identical toxic schedule.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::process::{Child, ExitCode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,8 +89,8 @@ use ofd_core::{FaultPlan, Obs};
 use ofd_datagen::{clinical, csv, PresetConfig};
 use ofd_discovery::{DiscoveryOptions, FastOfd};
 use ofd_serve::{
-    termination_flag, Fleet, NetFaultProxy, Router, RouterConfig, ServeConfig, Server, Supervisor,
-    SupervisorConfig, WorkerSpec,
+    exchange, spawn_worker, termination_flag, NetFaultProxy, PeerTimeouts, Router, RouterConfig,
+    ServeArgs, Server, Supervisor, SupervisorConfig, WorkerSpec,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -98,38 +101,12 @@ use serde_json::{json, Value};
 /// Runs a real server in this process until SIGTERM/SIGINT, then drains.
 /// The parent scrapes the `listening on ADDR` line to find the port.
 fn server_mode(flags: &[(String, String)]) -> ExitCode {
-    let get = |name: &str| flags.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str());
-    let mut cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        ..ServeConfig::default()
-    };
-    if let Some(a) = get("addr") {
-        cfg.addr = a.to_owned();
-    }
-    if let Some(spec) = get("peers") {
-        cfg.peers = ofd_serve::parse_peer_list(spec).expect("valid --peers list");
-    }
-    if let Some(n) = get("workers") {
-        cfg.workers = n.parse().expect("--workers N");
-    }
-    if let Some(n) = get("queue-cap") {
-        cfg.queue_cap = n.parse().expect("--queue-cap N");
-    }
-    if let Some(ms) = get("budget-ms") {
-        cfg.budget_ms = ms.parse().expect("--budget-ms N");
-    }
-    cfg.checkpoint_dir = get("checkpoint-dir").map(PathBuf::from);
-    if let Some(ms) = get("head-timeout-ms") {
-        cfg.head_timeout_ms = ms.parse().expect("--head-timeout-ms N");
-    }
-    if let Some(ms) = get("peer-timeout-ms") {
-        cfg.peer_timeout_ms = ms.parse().expect("--peer-timeout-ms N");
-    }
-    if let Some(spec) = get("faults") {
-        cfg.faults = FaultPlan::parse(spec).expect("valid fault spec");
+    let args = ServeArgs::parse(flags.iter().map(|(name, value)| (name.as_str(), Some(value.as_str()))))
+        .expect("valid serve flags");
+    if args.serve.faults.is_active() {
         ofd_core::silence_injected_panics();
     }
-    let server = Server::bind(cfg).expect("child bind");
+    let server = Server::bind(args.serve).expect("child bind");
     println!("listening on {}", server.addr());
     std::io::stdout().flush().expect("flush");
     let term = termination_flag();
@@ -151,40 +128,29 @@ struct ServerProc {
     addr: SocketAddr,
 }
 
-/// Spawns `current_exe --server` with the given flags and waits for its
-/// `listening on` line. `Err` means the child died before announcing
-/// itself — e.g. a reserved fixed port was stolen between reservation
-/// and bind — and the caller may retry with fresh ports.
-fn try_spawn_server(flags: &[(&str, String)]) -> Result<ServerProc, String> {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = Command::new(exe);
-    cmd.arg("--server");
+/// How long a child server may take to print its `listening on` line.
+const BANNER_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The launch recipe for `current_exe --server` with the given flags;
+/// [`spawn_worker`] runs it and scrapes the child's `listening on` line.
+/// A spawn error means the child died before announcing itself — e.g. a
+/// reserved fixed port was stolen between reservation and bind — and the
+/// caller may retry with fresh ports.
+fn server_spec(flags: &[(&str, String)]) -> WorkerSpec {
+    let mut args = vec!["--server".to_owned()];
     for (name, value) in flags {
-        cmd.arg(format!("--{name}")).arg(value);
+        args.push(format!("--{name}"));
+        args.push(value.clone());
     }
-    let mut child = cmd
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(|e| format!("spawn server child: {e}"))?;
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let banner = lines.next().and_then(Result::ok).and_then(|line| {
-        line.strip_prefix("listening on ")
-            .and_then(|rest| rest.parse::<SocketAddr>().ok())
-    });
-    let Some(addr) = banner else {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err("child exited before announcing its address".into());
-    };
-    // Keep draining the pipe so the child never blocks on a full stdout.
-    std::thread::spawn(move || for _ in lines {});
-    Ok(ServerProc { child, addr })
+    WorkerSpec {
+        program: std::env::current_exe().expect("current_exe"),
+        args,
+    }
 }
 
 fn spawn_server(flags: &[(&str, String)]) -> ServerProc {
-    try_spawn_server(flags).expect("spawn server child")
+    let (child, addr) = spawn_worker(&server_spec(flags), BANNER_TIMEOUT).expect("spawn server child");
+    ServerProc { child, addr }
 }
 
 /// Reserves an address by binding `127.0.0.1:0`, noting the port the OS
@@ -241,45 +207,27 @@ struct Reply {
     body: Value,
 }
 
-/// One request over a fresh connection. `Err` means the transport died
-/// (expected while a child is being SIGKILLed), never a served error.
+/// One request through the service layer's client. `Err` means the
+/// transport died (expected while a child is being SIGKILLed), never a
+/// served error.
 fn try_request(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: Option<&Value>,
 ) -> std::io::Result<Reply> {
-    let mut stream = TcpStream::connect(addr)?;
     let body_text = body
         .map(|b| serde_json::to_string(b).expect("serialize"))
         .unwrap_or_default();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: probe\r\ncontent-length: {}\r\n\r\n",
-        body_text.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body_text.as_bytes())?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8(raw)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 reply"))?;
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "truncated reply"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let parsed = if payload.is_empty() {
-        Value::Null
-    } else {
-        serde_json::from_str(payload).unwrap_or(Value::Null)
+    let timeouts = PeerTimeouts {
+        connect: Duration::from_secs(10),
+        read: Duration::from_secs(120),
     };
+    let reply = exchange(addr, method, path, body_text.as_bytes(), &timeouts, None)?;
+    let parsed = reply.json().unwrap_or(Value::Null);
     let retry_after_ms = parsed.get("retry_after_ms").and_then(Value::as_u64);
     Ok(Reply {
-        status,
+        status: reply.status,
         retry_after_ms,
         body: parsed,
     })
@@ -388,6 +336,20 @@ fn counter(metrics: &Value, name: &str) -> u64 {
         .and_then(|c| c.get(name))
         .and_then(Value::as_u64)
         .unwrap_or_else(|| panic!("metrics expose pinned counter {name}"))
+}
+
+/// Writes a soak's final metrics document to `--metrics-out` (pretty
+/// JSON, for CI artifacts); `doc` is only built when a path was given.
+fn write_metrics(tag: &str, path: Option<&Path>, doc: impl FnOnce() -> Value) {
+    let Some(path) = path else {
+        return;
+    };
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent).expect("metrics-out parent dir");
+    }
+    let text = serde_json::to_string_pretty(&doc()).expect("serialize metrics") + "\n";
+    std::fs::write(path, text).expect("write metrics-out");
+    println!("phase {tag}: metrics written to {}", path.display());
 }
 
 // ----------------------------------------------------------------- phases
@@ -657,6 +619,33 @@ fn stream_script(ds: &ofd_datagen::Dataset, seed: u64, count: usize) -> Vec<Stre
     edits
 }
 
+/// The streaming soaks' dataset and the base body every edit extends:
+/// the inputs plus the planted OFDs.
+fn stream_fixture(rows: usize, seed: u64) -> (ofd_datagen::Dataset, Value) {
+    let ds = clinical(&PresetConfig {
+        n_rows: rows,
+        n_attrs: 5,
+        n_ofds: 2,
+        seed,
+        ..PresetConfig::default()
+    });
+    let schema = ds.clean.schema();
+    let specs: Vec<String> = ds
+        .ofds
+        .iter()
+        .map(|o| {
+            let lhs: Vec<&str> = o.lhs.iter().map(|a| schema.name(a)).collect();
+            format!("{}->{}", lhs.join(","), schema.name(o.rhs))
+        })
+        .collect();
+    let base = json!({
+        "csv": csv::write_csv(&ds.clean),
+        "ontology": ofd_ontology::write_ontology(&ds.full_ontology),
+        "ofds": specs,
+    });
+    (ds, base)
+}
+
 /// The `/v1/append` or `/v1/retract` request for one edit.
 fn stream_request(base: &Value, edit: &StreamEdit) -> (&'static str, Value) {
     let mut body = base.clone();
@@ -700,27 +689,8 @@ fn normalized_reply(mut reply: Value) -> String {
 /// state must match from-scratch validation, and conflicts must be 409s
 /// that leave the session usable.
 fn phase_stream(args: &Args, metrics_out: Option<&Path>) {
-    let ds = clinical(&PresetConfig {
-        n_rows: args.rows,
-        n_attrs: 5,
-        n_ofds: 2,
-        seed: args.seed,
-        ..PresetConfig::default()
-    });
+    let (ds, base) = stream_fixture(args.rows, args.seed);
     let schema = ds.clean.schema();
-    let specs: Vec<String> = ds
-        .ofds
-        .iter()
-        .map(|o| {
-            let lhs: Vec<&str> = o.lhs.iter().map(|a| schema.name(a)).collect();
-            format!("{}->{}", lhs.join(","), schema.name(o.rhs))
-        })
-        .collect();
-    let base = json!({
-        "csv": csv::write_csv(&ds.clean),
-        "ontology": ofd_ontology::write_ontology(&ds.full_ontology),
-        "ofds": specs.clone(),
-    });
     let edits = stream_script(&ds, args.seed, 160);
     let mut rng = StdRng::seed_from_u64(args.seed.wrapping_mul(48271));
     let kill_at = rng.random_range(edits.len() as u64 / 4..(edits.len() as u64 * 3) / 4) as usize;
@@ -862,20 +832,14 @@ fn phase_stream(args: &Args, metrics_out: Option<&Path>) {
     assert!(counter(&metrics, "serve.stream.conflicts") >= 1, "conflict counted");
     assert!(counter(&metrics, "incremental.stale_updates") >= 1, "stale update counted");
 
-    if let Some(path) = metrics_out {
-        let doc = json!({
+    write_metrics("stream", metrics_out, || {
+        json!({
             "worker": metrics,
             "reference_worker": ref_metrics,
             "edits": edits.len() as u64,
             "kill_at": kill_at as u64,
-        });
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).expect("metrics-out parent dir");
-        }
-        let text = serde_json::to_string_pretty(&doc).expect("serialize metrics") + "\n";
-        std::fs::write(path, text).expect("write metrics-out");
-        println!("phase stream: metrics written to {}", path.display());
-    }
+        })
+    });
     server.terminate();
     assert_eq!(server.wait_exit(Duration::from_secs(30)), Some(0), "soak drains");
     println!(
@@ -891,16 +855,10 @@ fn phase_stream(args: &Args, metrics_out: Option<&Path>) {
 /// feeds supervisor and router so `serve.router.*` counters survive a
 /// full-fleet restart (the processes die; the soak's ledger does not).
 fn start_fleet(args: &Args, obs: &Obs, root: &Path) -> Router {
-    let spec = WorkerSpec {
-        program: std::env::current_exe().expect("current_exe"),
-        args: vec![
-            "--server".into(),
-            "--checkpoint-dir".into(),
-            root.display().to_string(),
-            "--faults".into(),
-            slow_engine_spec(args.seed),
-        ],
-    };
+    let spec = server_spec(&[
+        ("checkpoint-dir", root.display().to_string()),
+        ("faults", slow_engine_spec(args.seed)),
+    ]);
     let mut sup_cfg = SupervisorConfig::new(spec);
     sup_cfg.workers = 2;
     sup_cfg.obs = obs.clone();
@@ -910,13 +868,24 @@ fn start_fleet(args: &Args, obs: &Obs, root: &Path) -> Router {
         obs: obs.clone(),
         ..RouterConfig::default()
     };
-    Router::bind(router_cfg, Fleet::Supervised(supervisor)).expect("router bind")
+    Router::bind(router_cfg, Some(supervisor), Vec::new()).expect("router bind")
 }
 
 fn supervised(router: &Router) -> &Supervisor {
-    match router.fleet() {
-        Fleet::Supervised(s) => s,
-        Fleet::Static(_) => unreachable!("the fleet soak always supervises its workers"),
+    router.supervisor().expect("the fleet soak always supervises its workers")
+}
+
+/// Polls the router's `/readyz` every 50 ms until `done` accepts its
+/// body, failing with `what` after `timeout`.
+fn wait_readyz(addr: SocketAddr, timeout: Duration, what: &str, done: impl Fn(&Value) -> bool) -> Reply {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let ready = request(addr, "GET", "/readyz", None);
+        if done(&ready.body) {
+            return ready;
+        }
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -1107,25 +1076,19 @@ fn phase_router(args: &Args, metrics_out: Option<&Path>) {
     assert!(count("serve.router.respawned") >= trials, "every killed worker respawned");
     assert!(count("serve.router.adopted") >= 1, "adoption was observed end to end");
 
-    if let Some(path) = metrics_out {
+    write_metrics("router", metrics_out, || {
         let workers_final: Vec<Value> = supervised(&router)
             .addrs()
             .into_iter()
             .flatten()
             .filter_map(|a| try_request(a, "GET", "/metrics", None).ok().map(|r| r.body))
             .collect();
-        let doc = json!({
+        json!({
             "router": request(addr, "GET", "/metrics", None).body,
             "workers": workers_final,
             "workers_before_restart": workers_before,
-        });
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).expect("metrics-out parent dir");
-        }
-        let text = serde_json::to_string_pretty(&doc).expect("serialize metrics") + "\n";
-        std::fs::write(path, text).expect("write metrics-out");
-        println!("phase router: metrics written to {}", path.display());
-    }
+        })
+    });
     router.shutdown();
     println!(
         "phase router: ok ({adoptions}/{trials} trials adopted, routed={} retried={} respawned={})",
@@ -1155,9 +1118,9 @@ impl PeerWorker {
     /// lingering OS-level reluctance to rebind it.
     fn restart(&mut self) {
         for attempt in 0..20u32 {
-            match try_spawn_server(&self.flags) {
-                Ok(proc) => {
-                    self.proc = proc;
+            match spawn_worker(&server_spec(&self.flags), BANNER_TIMEOUT) {
+                Ok((child, addr)) => {
+                    self.proc = ServerProc { child, addr };
                     return;
                 }
                 Err(e) => {
@@ -1195,8 +1158,11 @@ fn spawn_peer_fleet(root: &Path, n: usize, extra_flags: &[(&'static str, String)
                 ("checkpoint-dir", root.join(format!("host-{i}")).display().to_string()),
             ];
             flags.extend(extra_flags.iter().cloned());
-            match try_spawn_server(&flags) {
-                Ok(proc) => fleet.push(PeerWorker { proc, flags }),
+            match spawn_worker(&server_spec(&flags), BANNER_TIMEOUT) {
+                Ok((child, addr)) => fleet.push(PeerWorker {
+                    proc: ServerProc { child, addr },
+                    flags,
+                }),
                 Err(e) => {
                     eprintln!("peer fleet: spawn attempt {attempt} failed: {e}");
                     for worker in &mut fleet {
@@ -1229,7 +1195,7 @@ fn phase_peer_fleet(args: &Args, metrics_out: Option<&Path>) {
         obs: obs.clone(),
         ..RouterConfig::default()
     };
-    let router = Router::bind(router_cfg, Fleet::Static(worker_addrs.clone())).expect("router bind");
+    let router = Router::bind(router_cfg, None, worker_addrs.clone()).expect("router bind");
     let addr = router.addr();
     let snap_count = |name: &str| obs.snapshot().counter(name).unwrap_or(0);
 
@@ -1301,27 +1267,7 @@ fn phase_peer_fleet(args: &Args, metrics_out: Option<&Path>) {
     // Stream sessions ship the same way: two edits against host 0, then
     // the third edit of the same session against host 1, which must
     // rebuild the session from its peer's persisted snapshot.
-    let stream_ds = clinical(&PresetConfig {
-        n_rows: args.rows.min(400),
-        n_attrs: 5,
-        n_ofds: 2,
-        seed: args.seed,
-        ..PresetConfig::default()
-    });
-    let schema = stream_ds.clean.schema();
-    let specs: Vec<String> = stream_ds
-        .ofds
-        .iter()
-        .map(|o| {
-            let lhs: Vec<&str> = o.lhs.iter().map(|a| schema.name(a)).collect();
-            format!("{}->{}", lhs.join(","), schema.name(o.rhs))
-        })
-        .collect();
-    let stream_base = json!({
-        "csv": csv::write_csv(&stream_ds.clean),
-        "ontology": ofd_ontology::write_ontology(&stream_ds.full_ontology),
-        "ofds": specs,
-    });
+    let (stream_ds, stream_base) = stream_fixture(args.rows.min(400), args.seed);
     let edits = stream_script(&stream_ds, args.seed, 3);
     for edit in &edits[..2] {
         let (path, body) = stream_request(&stream_base, edit);
@@ -1401,30 +1347,18 @@ fn phase_peer_fleet(args: &Args, metrics_out: Option<&Path>) {
         // its fixed address and try again with fresh content.
         println!("phase peers: trial {trial} finished before the kill; retrying");
         fleet[owner].restart();
-        let deadline = Instant::now() + Duration::from_secs(15);
-        loop {
-            let ready = request(addr, "GET", "/readyz", None);
-            if ready.body.get("live_workers").and_then(Value::as_u64) == Some(2) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "restarted worker never rejoined the ring");
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        wait_readyz(addr, Duration::from_secs(15), "restarted worker never rejoined the ring", |r| {
+            r.get("live_workers").and_then(Value::as_u64) == Some(2)
+        });
     }
     let dead = dead.expect("re-execution fallback never observed across 3 trials");
 
     // With the owner still dead, the prober must eject it: /readyz turns
     // degraded, and a catalog PUT is refused outright — one live replica
     // cannot make a two-replica quorum, and no torn version may appear.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let ready = loop {
-        let ready = request(addr, "GET", "/readyz", None);
-        if ready.body.get("state").and_then(Value::as_str) == Some("degraded") {
-            break ready;
-        }
-        assert!(Instant::now() < deadline, "dead worker was never ejected from the ring");
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let ready = wait_readyz(addr, Duration::from_secs(10), "dead worker was never ejected from the ring", |r| {
+        r.get("state").and_then(Value::as_str) == Some("degraded")
+    });
     assert_eq!(ready.status, 200, "a partial ring is degraded, not down");
     assert_eq!(ready.body.get("live_workers").and_then(Value::as_u64), Some(1));
     assert!(snap_count("serve.router.ring.ejected") >= 1, "the ejection was counted");
@@ -1455,15 +1389,9 @@ fn phase_peer_fleet(args: &Args, metrics_out: Option<&Path>) {
     // Restart the dead host: the prober readmits it with hysteresis, and
     // quorum writes work again.
     fleet[dead].restart();
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let ready = loop {
-        let ready = request(addr, "GET", "/readyz", None);
-        if ready.body.get("state").and_then(Value::as_str) == Some("ok") {
-            break ready;
-        }
-        assert!(Instant::now() < deadline, "restarted worker was never readmitted");
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let ready = wait_readyz(addr, Duration::from_secs(15), "restarted worker was never readmitted", |r| {
+        r.get("state").and_then(Value::as_str) == Some("ok")
+    });
     assert_eq!(ready.body.get("live_workers").and_then(Value::as_u64), Some(2));
     assert!(snap_count("serve.router.ring.readmitted") >= 1, "the readmission was counted");
     let (csv_y, onto_y) = dataset(args.rows.min(600), 6, args.seed ^ 0xbeef);
@@ -1514,22 +1442,16 @@ fn phase_peer_fleet(args: &Args, metrics_out: Option<&Path>) {
     assert!(snap_count("serve.router.ring.readmitted") >= 1, "readmission was counted");
     assert!(snap_count("serve.router.retried") >= 1, "failover retried at least once");
 
-    if let Some(path) = metrics_out {
+    write_metrics("peers", metrics_out, || {
         let workers: Vec<Value> = worker_addrs
             .iter()
             .filter_map(|&a| try_request(a, "GET", "/metrics", None).ok().map(|r| r.body))
             .collect();
-        let doc = json!({
+        json!({
             "router": request(addr, "GET", "/metrics", None).body,
             "workers": workers,
-        });
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).expect("metrics-out parent dir");
-        }
-        let text = serde_json::to_string_pretty(&doc).expect("serialize metrics") + "\n";
-        std::fs::write(path, text).expect("write metrics-out");
-        println!("phase peers: metrics written to {}", path.display());
-    }
+        })
+    });
 
     router.shutdown();
     for worker in &mut fleet {
@@ -1621,7 +1543,7 @@ fn chaos_net_pass(
         obs: obs.clone(),
         ..RouterConfig::default()
     };
-    let router = Router::bind(router_cfg, Fleet::Static(upstream)).expect("router bind");
+    let router = Router::bind(router_cfg, None, upstream).expect("router bind");
     let addr = router.addr();
     println!("phase chaos: [{tag}] fleet up (chaos={chaos}), router on {addr}");
 
@@ -1794,8 +1716,8 @@ fn phase_chaos_net(args: &Args, metrics_out: Option<&Path>) {
     println!("phase chaos: run B replayed run A's schedule exactly ({} connections/proxy)",
         run1.schedules.iter().map(Vec::len).max().unwrap_or(0));
 
-    if let Some(path) = metrics_out {
-        let doc = json!({
+    write_metrics("chaos", metrics_out, || {
+        json!({
             "router": run1.router_metrics,
             "workers": run1.worker_metrics,
             "schedules": run1.schedules,
@@ -1803,14 +1725,8 @@ fn phase_chaos_net(args: &Args, metrics_out: Option<&Path>) {
             "resets": run1.resets,
             "blackholes": run1.blackholes,
             "retries_exhausted": run1.retries_exhausted,
-        });
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).expect("metrics-out parent dir");
-        }
-        let text = serde_json::to_string_pretty(&doc).expect("serialize metrics") + "\n";
-        std::fs::write(path, text).expect("write metrics-out");
-        println!("phase chaos: metrics written to {}", path.display());
-    }
+        })
+    });
     println!(
         "phase chaos: ok (injected={} resets={} blackholes={}, schedule replayed byte-for-byte)",
         run1.injected, run1.resets, run1.blackholes
@@ -1835,10 +1751,7 @@ fn main() -> ExitCode {
         rows: 2500,
         dir: std::env::temp_dir().join(format!("ofd_serve_probe_{}", std::process::id())),
     };
-    let mut router_mode = false;
-    let mut stream_mode = false;
-    let mut peers_mode = false;
-    let mut chaos_net_mode = false;
+    let mut scenario = &SCENARIOS[0];
     let mut metrics_out: Option<PathBuf> = None;
     while let Some(arg) = raw.next() {
         let mut value = |name: &str| raw.next().unwrap_or_else(|| panic!("{name} VALUE"));
@@ -1846,56 +1759,70 @@ fn main() -> ExitCode {
             "--seed" => args.seed = value("--seed").parse().expect("--seed expects an integer"),
             "--rows" => args.rows = value("--rows").parse().expect("--rows expects an integer"),
             "--dir" => args.dir = value("--dir").into(),
-            "--router" => router_mode = true,
-            "--stream" => stream_mode = true,
-            "--peers" => peers_mode = true,
-            "--chaos-net" => chaos_net_mode = true,
             "--metrics-out" => metrics_out = Some(value("--metrics-out").into()),
-            other => panic!("unknown argument {other:?}"),
+            other => {
+                let chosen = SCENARIOS
+                    .iter()
+                    .find(|s| s.flag == Some(other))
+                    .unwrap_or_else(|| panic!("unknown argument {other:?}"));
+                assert!(
+                    scenario.flag.is_none() || scenario.flag == chosen.flag,
+                    "--router, --stream, --peers and --chaos-net are separate soaks"
+                );
+                scenario = chosen;
+            }
         }
     }
     assert!(
-        metrics_out.is_none() || router_mode || stream_mode || peers_mode || chaos_net_mode,
+        metrics_out.is_none() || scenario.flag.is_some(),
         "--metrics-out only applies to --router, --stream, --peers and --chaos-net runs"
     );
-    assert!(
-        u32::from(router_mode)
-            + u32::from(stream_mode)
-            + u32::from(peers_mode)
-            + u32::from(chaos_net_mode)
-            <= 1,
-        "--router, --stream, --peers and --chaos-net are separate soaks"
-    );
     let _ = std::fs::remove_dir_all(&args.dir);
+    (scenario.run)(&args, metrics_out.as_deref());
+    let _ = std::fs::remove_dir_all(&args.dir);
+    println!("serve_probe: {}", scenario.done);
+    ExitCode::SUCCESS
+}
 
-    if stream_mode {
-        phase_stream(&args, metrics_out.as_deref());
-        let _ = std::fs::remove_dir_all(&args.dir);
-        println!("serve_probe: streaming session consistent");
-        return ExitCode::SUCCESS;
-    }
+/// One soak: the flag that selects it (none for the default soak), its
+/// run, and its closing line.
+struct Scenario {
+    flag: Option<&'static str>,
+    run: fn(&Args, Option<&Path>),
+    done: &'static str,
+}
 
-    if router_mode {
-        phase_router(&args, metrics_out.as_deref());
-        let _ = std::fs::remove_dir_all(&args.dir);
-        println!("serve_probe: router fleet consistent");
-        return ExitCode::SUCCESS;
-    }
+const SCENARIOS: [Scenario; 5] = [
+    Scenario {
+        flag: None,
+        run: phase_serve,
+        done: "all phases consistent",
+    },
+    Scenario {
+        flag: Some("--stream"),
+        run: phase_stream,
+        done: "streaming session consistent",
+    },
+    Scenario {
+        flag: Some("--router"),
+        run: phase_router,
+        done: "router fleet consistent",
+    },
+    Scenario {
+        flag: Some("--peers"),
+        run: phase_peer_fleet,
+        done: "peer fleet consistent",
+    },
+    Scenario {
+        flag: Some("--chaos-net"),
+        run: phase_chaos_net,
+        done: "chaos-net fleet consistent",
+    },
+];
 
-    if peers_mode {
-        phase_peer_fleet(&args, metrics_out.as_deref());
-        let _ = std::fs::remove_dir_all(&args.dir);
-        println!("serve_probe: peer fleet consistent");
-        return ExitCode::SUCCESS;
-    }
-
-    if chaos_net_mode {
-        phase_chaos_net(&args, metrics_out.as_deref());
-        let _ = std::fs::remove_dir_all(&args.dir);
-        println!("serve_probe: chaos-net fleet consistent");
-        return ExitCode::SUCCESS;
-    }
-
+/// The default soak: shed, SIGKILL + resume, SIGTERM drain and snapshot
+/// faults against single-server children.
+fn phase_serve(args: &Args, _metrics_out: Option<&Path>) {
     // Medium payload for the shed burst; a wide lattice (more attributes)
     // for the kill/drain phases — rows barely move discovery wall time,
     // attribute count does, and the kill window must land mid-discovery
@@ -1916,12 +1843,8 @@ fn main() -> ExitCode {
         args.seed
     );
 
-    phase_shed(&args, &burst_csv, &burst_onto, &burst_ref);
-    phase_sigkill(&args, &long_body, &long_ref);
-    phase_drain(&args, &long_body, &long_ref);
-    phase_snapshot_faults(&args, &long_body, &long_ref);
-
-    let _ = std::fs::remove_dir_all(&args.dir);
-    println!("serve_probe: all phases consistent");
-    ExitCode::SUCCESS
+    phase_shed(args, &burst_csv, &burst_onto, &burst_ref);
+    phase_sigkill(args, &long_body, &long_ref);
+    phase_drain(args, &long_body, &long_ref);
+    phase_snapshot_faults(args, &long_body, &long_ref);
 }

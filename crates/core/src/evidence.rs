@@ -10,12 +10,66 @@
 //!
 //! Discovery gathers evidence from focused row samples and consults it
 //! before paying for a full-relation scan; see
-//! `ofd-discovery`'s sampling module for the gathering policy.
+//! `ofd-discovery`'s sampling module for the gathering policy. The pair
+//! schedule itself, [`sorted_neighbourhood`], is shared with the HyFD
+//! baseline's sampling phase.
 
 use crate::fxhash::FxHashSet;
+use crate::guard::ExecGuard;
 use crate::relation::Relation;
 use crate::schema::{AttrId, AttrSet};
 use crate::sense_index::SenseIndex;
+
+/// HyFD's sorted-neighbourhood pair schedule. The rows are sorted once
+/// per attribute by value id (ties by row id); then, for each distance
+/// `d` in `1..=distances`, every pair of rows `d` apart in each
+/// attribute's order is handed to `visit`. Rows violating `X → A` agree
+/// on `X`, so they sit close together in the order of any attribute of
+/// `X`.
+///
+/// Deterministic: the schedule depends only on the relation's contents,
+/// never on threads or timing. The guard is probed once per (distance,
+/// attribute) block; a trip stops the walk. Returns the number of
+/// distances walked in full.
+pub fn sorted_neighbourhood(
+    rel: &Relation,
+    distances: usize,
+    guard: &ExecGuard,
+    mut visit: impl FnMut(usize, usize),
+) -> u64 {
+    let n = rel.n_rows();
+    if n < 2 || distances == 0 {
+        return 0;
+    }
+    // One sort per attribute, reused across distances — the sorts
+    // dominate the schedule's cost at scale.
+    let orders: Vec<Vec<u32>> = rel
+        .schema()
+        .attrs()
+        .map(|a| {
+            let col = rel.column(a);
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_unstable_by_key(|&t| (col[t as usize], t));
+            order
+        })
+        .collect();
+    let mut walked = 0u64;
+    for dist in 1..=distances {
+        if dist >= n {
+            break;
+        }
+        for order in &orders {
+            if guard.check().is_err() {
+                return walked;
+            }
+            for i in 0..n - dist {
+                visit(order[i] as usize, order[i + dist] as usize);
+            }
+        }
+        walked += 1;
+    }
+    walked
+}
 
 /// Refutation evidence for exact OFD candidates, deduplicated.
 ///

@@ -49,7 +49,7 @@ mod validate;
 mod value;
 
 pub use error::CoreError;
-pub use evidence::EvidenceSet;
+pub use evidence::{sorted_neighbourhood, EvidenceSet};
 pub use fault::{
     silence_injected_panics, FaultPlan, FaultSite, FaultSpecError, NetFault, SnapshotFault,
     INJECTED_PANIC, NET_SITES,

@@ -17,7 +17,7 @@
 //! *absence* of evidence — surviving candidates still pay for the exact
 //! check. That is what makes the whole phase result-neutral.
 
-use ofd_core::{EvidenceSet, ExecGuard, Relation, SenseIndex};
+use ofd_core::{sorted_neighbourhood, EvidenceSet, ExecGuard, Relation, SenseIndex};
 
 /// Outcome of the sampling phase.
 pub(crate) struct SampleOutcome {
@@ -28,59 +28,19 @@ pub(crate) struct SampleOutcome {
     pub rounds_run: u64,
 }
 
-/// Runs `rounds` sorted-neighbourhood passes and returns the evidence.
-///
-/// Deterministic: the pair schedule depends only on the relation contents
-/// (value-id sort orders with row-id tie-breaks), never on threads or
-/// timing. The guard is probed once per (round, attribute) block; a trip
-/// returns the evidence gathered so far.
+/// Runs `rounds` sorted-neighbourhood passes (round `r` compares rows
+/// `r + 1` apart; see [`sorted_neighbourhood`]) and returns the evidence.
+/// A tripped guard returns the evidence gathered so far.
 pub(crate) fn gather_evidence(
     rel: &Relation,
     index: &SenseIndex,
     rounds: usize,
     guard: &ExecGuard,
 ) -> SampleOutcome {
-    let n = rel.n_rows();
     let mut evidence = EvidenceSet::new(rel.n_attrs());
-    let mut rounds_run = 0u64;
-    if n < 2 || rounds == 0 {
-        return SampleOutcome {
-            evidence,
-            rounds_run,
-        };
-    }
-    // One sort per attribute, reused across rounds — the sorts dominate
-    // the phase cost at scale.
-    let orders: Vec<Vec<u32>> = rel
-        .schema()
-        .attrs()
-        .map(|a| {
-            let col = rel.column(a);
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_unstable_by_key(|&t| (col[t as usize], t));
-            order
-        })
-        .collect();
-    'rounds: for round in 0..rounds {
-        let dist = round + 1;
-        if dist >= n {
-            break;
-        }
-        for order in &orders {
-            if guard.check().is_err() {
-                break 'rounds;
-            }
-            for i in 0..n - dist {
-                evidence.observe_pair(
-                    rel,
-                    index,
-                    order[i] as usize,
-                    order[i + dist] as usize,
-                );
-            }
-        }
-        rounds_run += 1;
-    }
+    let rounds_run = sorted_neighbourhood(rel, rounds, guard, |t1, t2| {
+        evidence.observe_pair(rel, index, t1, t2);
+    });
     SampleOutcome {
         evidence,
         rounds_run,

@@ -19,7 +19,10 @@
 
 use ofd_core::{FxHashMap, FxHashSet};
 
-use ofd_core::{AttrId, AttrSet, ExecGuard, Fd, Obs, Partial, Relation, StrippedPartition, ValueId};
+use ofd_core::{
+    sorted_neighbourhood, AttrId, AttrSet, ExecGuard, Fd, Obs, Partial, Relation, StrippedPartition,
+    ValueId,
+};
 
 use crate::common::{record_interrupt, sort_fds};
 
@@ -28,8 +31,9 @@ pub fn discover(rel: &Relation) -> Vec<Fd> {
     discover_guarded(rel, &ExecGuard::unlimited()).value
 }
 
-/// [`discover`] with an execution guard, probed per sampled tuple, per
-/// induced non-FD and per validated hypothesis.
+/// [`discover`] with an execution guard, probed per block of sampled
+/// pairs (one distance in one attribute's order), per induced non-FD and
+/// per validated hypothesis.
 ///
 /// Only hypotheses that passed a full-data validation round are emitted on
 /// interrupt. Such a hypothesis `X → A` is a true minimal FD: it holds over
@@ -50,7 +54,6 @@ pub fn discover_guarded(rel: &Relation, guard: &ExecGuard) -> Partial<Vec<Fd>> {
 pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Vec<Fd>> {
     let schema = rel.schema();
     let n_attrs = schema.len();
-    let n = rel.n_rows();
     let all = schema.all();
     let mut node_visits: u64 = 0;
     let mut partition_builds: u64 = 0;
@@ -65,23 +68,15 @@ pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Ve
         s
     };
 
-    // Phase 1: sampling via sorted-neighbourhood windows per attribute.
+    // Phase 1: sampling via sorted-neighbourhood windows per attribute
+    // (every pair up to WINDOW apart in each attribute's sort order).
     // A truncated sample only makes hypotheses too general; phase 3's
     // full-data validation gates everything that is emitted.
     let mut non_fds: FxHashSet<AttrSet> = FxHashSet::default();
     const WINDOW: usize = 3;
-    'sampling: for a in schema.attrs() {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&t| rel.value(t as usize, a));
-        for (i, &t1) in order.iter().enumerate() {
-            if guard.check().is_err() {
-                break 'sampling;
-            }
-            for &t2 in order.iter().skip(i + 1).take(WINDOW) {
-                non_fds.insert(agree_set_of(t1 as usize, t2 as usize));
-            }
-        }
-    }
+    sorted_neighbourhood(rel, WINDOW, guard, |t1, t2| {
+        non_fds.insert(agree_set_of(t1, t2));
+    });
     non_fds.remove(&all); // duplicate tuples violate nothing
 
     // Phase 2: induction — per consequent, most-general hypotheses.

@@ -35,7 +35,7 @@ use ofd_datagen::csv;
 use ofd_ontology::{parse_ontology, Ontology};
 use serde_json::{json, Value};
 
-use crate::peers::PeerTimeouts;
+use crate::http::PeerTimeouts;
 use crate::retry::RetryPolicy;
 
 /// One resolved catalog entry: the raw texts (for fingerprinting and
@@ -621,11 +621,27 @@ impl Catalog {
     }
 
     /// The newest version any peer reports for `name` (via describe), or
-    /// `None` when no peer knows it either.
+    /// `None` when no peer knows it either. A peer is asked to describe
+    /// `name` only when its own listing has it: a peer that lacks it
+    /// would ask its peers in turn, and two mutual peers would bounce one
+    /// miss back and forth, a thread and two sockets per hop, until the
+    /// processes run out of them.
     fn newest_on_peers(&self, name: &str) -> Option<u64> {
         let path = format!("/v1/datasets/{name}");
+        let lists = |reply: &Value| {
+            reply
+                .get("datasets")
+                .and_then(Value::as_array)
+                .is_some_and(|names| names.iter().any(|n| n.as_str() == Some(name)))
+        };
         self.peers
             .iter()
+            .filter(|&&peer| {
+                matches!(
+                    crate::peers::peer_json(peer, "GET", "/v1/datasets", None, &self.peer_timeouts),
+                    Ok((200, reply)) if lists(&reply)
+                )
+            })
             .filter_map(|&peer| {
                 match crate::peers::peer_json(peer, "GET", &path, None, &self.peer_timeouts) {
                     Ok((200, reply)) => reply.get("version").and_then(Value::as_u64),

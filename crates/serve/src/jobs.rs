@@ -157,7 +157,7 @@ pub struct JobContext {
     /// fetched from here before falling back to re-execution.
     pub peers: Vec<std::net::SocketAddr>,
     /// Connect/read deadlines for those peer conversations.
-    pub peer_timeouts: crate::peers::PeerTimeouts,
+    pub peer_timeouts: crate::http::PeerTimeouts,
 }
 
 /// Runs `endpoint` on `body`, returning the response body and outcome.
@@ -638,7 +638,7 @@ mod tests {
             catalog: None,
             sessions: Arc::new(crate::stream::StreamSessions::new()),
             peers: Vec::new(),
-            peer_timeouts: crate::peers::PeerTimeouts::default(),
+            peer_timeouts: crate::http::PeerTimeouts::default(),
         }
     }
 

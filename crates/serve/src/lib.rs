@@ -34,20 +34,30 @@
 //!   requests reference `dataset: "name@version"` instead of re-shipping
 //!   rows, parses are interned per version, and the catalog is shared by
 //!   every replica pointed at the same directory.
-//! * **Fleet mode** — [`router::Router`] fronts N worker processes kept
-//!   alive by [`supervisor::Supervisor`] (respawn behind a restart-storm
-//!   breaker). Requests are consistent-hash routed by dataset content
-//!   fingerprint and fail over to the next replica on connect/5xx
-//!   errors; because checkpoints are content-keyed and the root is
-//!   shared, the surviving replica **adopts** a dead worker's checkpoint
-//!   and resumes mid-level, still byte-identical
-//!   (`serve.router.adopted`).
+//! * **Fleet mode** — [`router::Router`] routes over one member list:
+//!   the worker processes [`supervisor::Supervisor`] spawns and respawns
+//!   (behind a restart-storm breaker), followed by any fixed `--peers`
+//!   hosts. Requests are consistent-hash routed by dataset content
+//!   fingerprint and fail over to the next member on connect/5xx errors.
+//!   Checkpoints are content-keyed, so the member that inherits a dead
+//!   worker's request resumes its work mid-level, still byte-identical
+//!   (`serve.router.adopted`): from the shared checkpoint root when the
+//!   fleet shares one, else shipped from a live peer's private root
+//!   (`resumed_from: "peer"`).
+//! * **One of each mechanism** — every outgoing request (router
+//!   forwards, `/readyz` probes, drain fan-out, quorum rounds, peer
+//!   fetches, the chaos proxy's relay) goes through [`http::exchange`];
+//!   the server, the router and [`netfault::NetFaultProxy`] all run
+//!   [`http::AcceptLoop`]; and the `serve` flags are parsed by one table,
+//!   [`flags::SERVE_FLAGS`].
 //!
 //! The soak harness for all of this is `serve_probe` in `ofd-bench`
-//! (`--router` for the fleet soak).
+//! (`--stream`, `--router`, `--peers` and `--chaos-net` select the other
+//! soaks).
 
 pub mod breaker;
 pub mod catalog;
+pub mod flags;
 pub mod http;
 pub mod jobs;
 pub mod netfault;
@@ -61,11 +71,13 @@ pub mod supervisor;
 
 pub use breaker::{Admission, Breaker};
 pub use catalog::{content_fingerprint, Catalog, CatalogEntry, CatalogError};
+pub use flags::{ServeArgs, SERVE_FLAGS};
 pub use jobs::{BadRequest, Endpoint, JobContext, JobError, JobOutcome};
 pub use netfault::{NetFaultProxy, NET_COUNTERS};
-pub use peers::{parse_peer_list, PeerTimeouts};
+pub use http::{exchange, PeerTimeouts};
+pub use peers::parse_peer_list;
 pub use retry::{RetryPolicy, RetrySession, RETRIES_EXHAUSTED};
 pub use stream::{StreamSessions, STREAM_COUNTERS};
-pub use router::{Fleet, Router, RouterConfig, ROUTER_COUNTERS};
+pub use router::{Router, RouterConfig, ROUTER_COUNTERS};
 pub use server::{termination_flag, ServeConfig, ServeSummary, Server, SERVE_COUNTERS};
-pub use supervisor::{Supervisor, SupervisorConfig, WorkerSpec};
+pub use supervisor::{spawn_worker, Supervisor, SupervisorConfig, WorkerSpec};

@@ -34,10 +34,11 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ofd_core::{FaultPlan, NetFault, Obs};
+
+use crate::http::{exchange, read_request, AcceptLoop, PeerTimeouts};
 
 /// The network-chaos counters, touched at proxy (and router) bind time
 /// so a metrics scrape of an idle process still shows them at zero.
@@ -65,8 +66,9 @@ pub struct NetFaultProxy {
     addr: SocketAddr,
     plan: Arc<FaultPlan>,
     schedule: Arc<Mutex<Vec<String>>>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    /// Releases stalled toxic handlers on [`Self::stop`].
+    stopping: Arc<AtomicBool>,
+    accept: AcceptLoop,
 }
 
 impl NetFaultProxy {
@@ -80,47 +82,41 @@ impl NetFaultProxy {
             obs.touch_counter(name);
         }
         let schedule = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
+        let stopping = Arc::new(AtomicBool::new(false));
+        let accept = {
             let plan = Arc::clone(&plan);
             let schedule = Arc::clone(&schedule);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
+            let stopping = Arc::clone(&stopping);
+            AcceptLoop::spawn(listener, "ofd-netfault-accept", move |client| {
+                // Probe in the accept loop, not the handler thread:
+                // occurrence order == accept order, which is what makes
+                // the schedule a pure function of the seed.
+                let toxic = plan.net_fault();
+                schedule
+                    .lock()
+                    .unwrap()
+                    .push(toxic.map(|t| t.label().to_string()).unwrap_or_else(|| "pass".into()));
+                if let Some(t) = toxic {
+                    obs.inc("serve.net.injected");
+                    match t {
+                        NetFault::Reset => obs.inc("serve.net.resets"),
+                        NetFault::Blackhole => obs.inc("serve.net.blackholes"),
+                        _ => {}
                     }
-                    let Ok(client) = conn else { continue };
-                    // Probe in the accept loop, not the handler thread:
-                    // occurrence order == accept order, which is what
-                    // makes the schedule a pure function of the seed.
-                    let toxic = plan.net_fault();
-                    schedule
-                        .lock()
-                        .unwrap()
-                        .push(toxic.map(|t| t.label().to_string()).unwrap_or_else(|| "pass".into()));
-                    if let Some(t) = toxic {
-                        obs.inc("serve.net.injected");
-                        match t {
-                            NetFault::Reset => obs.inc("serve.net.resets"),
-                            NetFault::Blackhole => obs.inc("serve.net.blackholes"),
-                            _ => {}
-                        }
-                    }
-                    let delay = plan.delay_duration();
-                    let stop = Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        let _ = handle(client, upstream, toxic, delay, &stop);
-                    });
                 }
-            })
+                let delay = plan.delay_duration();
+                let stopping = Arc::clone(&stopping);
+                std::thread::spawn(move || {
+                    let _ = handle(client, upstream, toxic, delay, &stopping);
+                });
+            })?
         };
         Ok(NetFaultProxy {
             addr,
             plan,
             schedule,
-            stop,
-            accept_thread: Some(accept_thread),
+            stopping,
+            accept,
         })
     }
 
@@ -144,14 +140,8 @@ impl NetFaultProxy {
     /// Stops the accept loop and joins it. Called on drop; explicit for
     /// tests that want deterministic teardown.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Self-connect to unblock the accept loop.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.stopping.store(true, Ordering::SeqCst);
+        self.accept.stop();
     }
 }
 
@@ -161,50 +151,16 @@ impl Drop for NetFaultProxy {
     }
 }
 
-/// Reads one HTTP/1.1 request (head + `content-length` body) off the
-/// client. The client keeps its write side open awaiting the reply, so
-/// read-to-EOF would deadlock — framing is the only option.
-fn read_request(client: &mut TcpStream) -> io::Result<Vec<u8>> {
-    client.set_read_timeout(Some(RELAY_IO))?;
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if raw.len() > 64 * 1024 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized request head"));
-        }
-        match client.read(&mut buf)? {
-            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-            n => raw.extend_from_slice(&buf[..n]),
-        }
+/// Reads the client's request and relays it upstream through
+/// [`exchange`], returning the upstream's raw reply.
+fn relay(client: &mut TcpStream, upstream: SocketAddr) -> io::Result<Vec<u8>> {
+    let req = read_request(client, usize::MAX, RELAY_IO)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let timeouts = PeerTimeouts {
+        connect: RELAY_IO,
+        read: RELAY_IO,
     };
-    let head = String::from_utf8_lossy(&raw[..head_end]).to_string();
-    let body_len = crate::peers::content_length(&head).unwrap_or(0);
-    while raw.len() < head_end + 4 + body_len {
-        match client.read(&mut buf)? {
-            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-            n => raw.extend_from_slice(&buf[..n]),
-        }
-    }
-    Ok(raw)
-}
-
-/// Forwards `request` to the upstream and reads the whole reply (workers
-/// answer `connection: close`, so EOF delimits it). The write side stays
-/// open until the reply is in hand: a half-close here reads as EOF to the
-/// worker's disconnect watcher, which would cancel the very job whose
-/// reply we are waiting for — the toxic would then corrupt the *work*,
-/// not just the wire, and no real router half-closes mid-exchange.
-fn upstream_reply(upstream: SocketAddr, request: &[u8]) -> io::Result<Vec<u8>> {
-    let mut conn = TcpStream::connect_timeout(&upstream, RELAY_IO)?;
-    conn.set_read_timeout(Some(RELAY_IO))?;
-    conn.set_write_timeout(Some(RELAY_IO))?;
-    conn.write_all(request)?;
-    let mut reply = Vec::new();
-    conn.read_to_end(&mut reply)?;
-    Ok(reply)
+    Ok(exchange(upstream, &req.method, &req.path, &req.body, &timeouts, None)?.raw)
 }
 
 /// Parks on the connection until the client closes, `stop` flips, or the
@@ -241,14 +197,13 @@ fn handle(
             Ok(())
         }
         Some(NetFault::Blackhole) => {
-            let _ = read_request(&mut client);
+            let _ = read_request(&mut client, usize::MAX, RELAY_IO);
             stall_until_abandoned(&mut client, stop);
             let _ = client.shutdown(Shutdown::Both);
             Ok(())
         }
         Some(NetFault::Reset) | Some(NetFault::Partial) => {
-            let request = read_request(&mut client)?;
-            let reply = upstream_reply(upstream, &request)?;
+            let reply = relay(&mut client, upstream)?;
             // Write the head plus about half the body, so the client has
             // a status line and a content-length it can never satisfy.
             let head_end = reply
@@ -271,8 +226,7 @@ fn handle(
             if matches!(toxic, Some(NetFault::Delay)) {
                 std::thread::sleep(delay);
             }
-            let request = read_request(&mut client)?;
-            let reply = upstream_reply(upstream, &request)?;
+            let reply = relay(&mut client, upstream)?;
             client.set_write_timeout(Some(RELAY_IO))?;
             client.write_all(&reply)?;
             let _ = client.flush();
@@ -285,7 +239,7 @@ fn handle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peers::{peer_exchange, PeerTimeouts};
+    use crate::http::Reply;
 
     /// A scripted upstream that answers every request with a fixed JSON
     /// body, `connection: close`.
@@ -311,11 +265,13 @@ mod tests {
         addr
     }
 
-    fn quick() -> PeerTimeouts {
-        PeerTimeouts {
+    /// One `GET /x` through the proxy with 500 ms deadlines.
+    fn get(proxy: &NetFaultProxy) -> io::Result<Reply> {
+        let quick = PeerTimeouts {
             connect: Duration::from_millis(500),
             read: Duration::from_millis(500),
-        }
+        };
+        exchange(proxy.addr(), "GET", "/x", b"", &quick, None)
     }
 
     #[test]
@@ -324,10 +280,9 @@ mod tests {
         let plan = Arc::new(FaultPlan::parse("seed=1").expect("plan"));
         let proxy = NetFaultProxy::bind(upstream, plan, Obs::disabled()).expect("proxy");
         for _ in 0..3 {
-            let (status, body) =
-                peer_exchange(proxy.addr(), "GET", "/x", None, &quick()).expect("clean relay");
-            assert_eq!(status, 200);
-            assert_eq!(body, b"{\"ok\":true}");
+            let reply = get(&proxy).expect("clean relay");
+            assert_eq!(reply.status, 200);
+            assert_eq!(reply.body(), b"{\"ok\":true}");
         }
         assert_eq!(proxy.schedule(), vec!["pass", "pass", "pass"]);
     }
@@ -338,8 +293,7 @@ mod tests {
         for spec in ["seed=9,net-reset@1", "seed=9,net-partial@1"] {
             let plan = Arc::new(FaultPlan::parse(spec).expect("plan"));
             let proxy = NetFaultProxy::bind(upstream, Arc::clone(&plan), Obs::disabled()).expect("proxy");
-            let err = peer_exchange(proxy.addr(), "GET", "/x", None, &quick())
-                .expect_err("torn reply must be a transport error");
+            let err = get(&proxy).expect_err("torn reply must be a transport error");
             assert!(
                 matches!(
                     err.kind(),
@@ -348,9 +302,8 @@ mod tests {
                 "{spec}: unexpected error {err:?}"
             );
             // After the toxic fires once, the proxy relays cleanly again.
-            let (status, _) = peer_exchange(proxy.addr(), "GET", "/x", None, &quick())
-                .expect("clean after the scheduled toxic");
-            assert_eq!(status, 200);
+            let reply = get(&proxy).expect("clean after the scheduled toxic");
+            assert_eq!(reply.status, 200);
         }
     }
 
@@ -361,9 +314,9 @@ mod tests {
         let obs = Obs::enabled();
         let proxy = NetFaultProxy::bind(upstream, plan, obs.clone()).expect("proxy");
         // Connection 1: refuse (severity order puts it first).
-        assert!(peer_exchange(proxy.addr(), "GET", "/x", None, &quick()).is_err());
+        assert!(get(&proxy).is_err());
         // Connection 2: blackhole — the client's read deadline fires.
-        assert!(peer_exchange(proxy.addr(), "GET", "/x", None, &quick()).is_err());
+        assert!(get(&proxy).is_err());
         assert_eq!(proxy.schedule(), vec!["refuse", "blackhole"]);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("serve.net.injected"), Some(2));
@@ -379,7 +332,7 @@ mod tests {
             let plan = Arc::new(FaultPlan::parse(spec).expect("plan"));
             let proxy = NetFaultProxy::bind(upstream, plan, Obs::disabled()).expect("proxy");
             for _ in 0..24 {
-                let _ = peer_exchange(proxy.addr(), "GET", "/x", None, &quick());
+                let _ = get(&proxy);
             }
             let schedule = proxy.schedule();
             assert_eq!(schedule.len(), 24, "one schedule entry per connection");
@@ -400,7 +353,7 @@ mod tests {
         let obs = Obs::enabled();
         let proxy = NetFaultProxy::bind(upstream, Arc::clone(&plan), obs.clone()).expect("proxy");
         for _ in 0..16 {
-            let _ = peer_exchange(proxy.addr(), "GET", "/x", None, &quick());
+            let _ = get(&proxy);
         }
         let snap = obs.snapshot();
         assert_eq!(
@@ -408,5 +361,18 @@ mod tests {
             Some(proxy.plan().net_fired()),
             "every injected toxic is attributed"
         );
+    }
+
+    #[test]
+    fn idle_stop_returns_promptly_and_frees_the_port() {
+        let upstream = scripted_upstream("{}");
+        let plan = Arc::new(FaultPlan::parse("seed=1").expect("plan"));
+        let mut proxy = NetFaultProxy::bind(upstream, plan, Obs::disabled()).expect("proxy");
+        let addr = proxy.addr();
+        let t = std::time::Instant::now();
+        proxy.stop();
+        assert!(t.elapsed() < Duration::from_secs(1), "stop took {:?}", t.elapsed());
+        assert!(proxy.schedule().is_empty(), "the wake connection draws no fault");
+        TcpListener::bind(addr).expect("the port can be bound again");
     }
 }

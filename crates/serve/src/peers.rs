@@ -1,4 +1,4 @@
-//! Static peer lists and the tiny HTTP client behind cross-host recovery.
+//! Static peer lists and the peer conversations behind cross-host recovery.
 //!
 //! Multi-host mode (`fastofd serve --peers host:port,...`) gives every
 //! process a fixed list of sibling workers. Three subsystems use it:
@@ -9,54 +9,20 @@
 //! * job / stream recovery ships a dead owner's newest checkpoint across
 //!   filesystems via `GET /v1/{jobs,streams}/{fingerprint}/snapshot`.
 //!
-//! Everything here is bounded: configurable connect/read deadlines
-//! ([`PeerTimeouts`]), one read to EOF verified against `content-length`
-//! (a torn reply is a transport error, never a parsed success), and a
-//! shared [`RetryPolicy`](crate::retry::RetryPolicy) in the fetch path.
+//! Every conversation goes through the crate's one client,
+//! [`exchange`]: bounded connect/read deadlines ([`PeerTimeouts`]) and a
+//! reply verified against its `content-length` (a torn reply is a
+//! transport error, never a parsed success). The fetch path adds a shared
+//! [`RetryPolicy`](crate::retry::RetryPolicy).
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 
 use ofd_core::SnapshotStore;
 use serde_json::Value;
 
+use crate::http::{exchange, PeerTimeouts};
 use crate::retry::RetryPolicy;
-
-/// Connect/read deadlines for peer-to-peer transfer requests.
-///
-/// The defaults are the historical constants (1 s connect, 10 s read);
-/// chaos runs tighten both via `--peer-timeout-ms` so a blackholed peer
-/// costs milliseconds instead of stalling a recovery path for 10 s.
-#[derive(Debug, Clone, Copy)]
-pub struct PeerTimeouts {
-    /// Connect timeout.
-    pub connect: Duration,
-    /// Read/write deadline for the whole exchange.
-    pub read: Duration,
-}
-
-impl Default for PeerTimeouts {
-    fn default() -> PeerTimeouts {
-        PeerTimeouts {
-            connect: Duration::from_millis(1_000),
-            read: Duration::from_millis(10_000),
-        }
-    }
-}
-
-impl PeerTimeouts {
-    /// Timeouts derived from a single `peer_timeout_ms` knob: the read
-    /// deadline is the knob, the connect timeout is clamped to at most
-    /// 1 s (connecting should always be fast; only transfers are slow).
-    pub fn from_ms(peer_timeout_ms: u64) -> PeerTimeouts {
-        let read = Duration::from_millis(peer_timeout_ms.max(1));
-        PeerTimeouts {
-            connect: read.min(Duration::from_millis(1_000)),
-            read,
-        }
-    }
-}
 
 /// Parse a comma-separated `host:port,...` peer list into socket
 /// addresses. Entries are trimmed; empty entries are rejected so a typo
@@ -78,72 +44,9 @@ pub fn parse_peer_list(spec: &str) -> Result<Vec<SocketAddr>, String> {
     Ok(peers)
 }
 
-/// One bounded HTTP exchange with a peer: connect, send `method path`
-/// with an optional JSON body, read the reply to EOF. Returns the status
-/// code and raw body bytes. A reply whose body is shorter than its
-/// `content-length` header is a transport error (`UnexpectedEof`) — a
-/// connection torn mid-body must never surface as a parsed success.
-pub(crate) fn peer_exchange(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&Value>,
-    timeouts: &PeerTimeouts,
-) -> io::Result<(u16, Vec<u8>)> {
-    let stream = TcpStream::connect_timeout(&addr, timeouts.connect)?;
-    stream.set_read_timeout(Some(timeouts.read))?;
-    stream.set_write_timeout(Some(timeouts.read))?;
-    let payload = body.map(|v| v.to_string()).unwrap_or_default();
-    let mut req = format!(
-        "{method} {path} HTTP/1.1\r\nhost: peer\r\ncontent-length: {}\r\nconnection: close\r\n",
-        payload.len()
-    );
-    if body.is_some() {
-        req.push_str("content-type: application/json\r\n");
-    }
-    req.push_str("\r\n");
-    let mut stream = stream;
-    stream.write_all(req.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated peer reply"))?;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad peer status line"))?;
-    let reply = raw[head_end + 4..].to_vec();
-    if let Some(expected) = content_length(&head) {
-        if reply.len() < expected {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("short peer reply: {} of {expected} body bytes", reply.len()),
-            ));
-        }
-    }
-    Ok((status, reply))
-}
-
-/// Parse the `content-length` header out of a raw reply head, if any.
-pub(crate) fn content_length(head: &str) -> Option<usize> {
-    head.lines().find_map(|line| {
-        let (name, value) = line.split_once(':')?;
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            value.trim().parse().ok()
-        } else {
-            None
-        }
-    })
-}
-
-/// Like [`peer_exchange`], but parse the body as JSON. Non-JSON bodies
-/// become `Null` so callers can treat "peer answered garbage" the same
-/// as "peer answered nothing".
+/// One [`exchange`] with a peer, the body parsed as JSON. Non-JSON
+/// bodies become `Null` so callers can treat "peer answered garbage" the
+/// same as "peer answered nothing".
 pub(crate) fn peer_json(
     addr: SocketAddr,
     method: &str,
@@ -151,12 +54,9 @@ pub(crate) fn peer_json(
     body: Option<&Value>,
     timeouts: &PeerTimeouts,
 ) -> io::Result<(u16, Value)> {
-    let (status, raw) = peer_exchange(addr, method, path, body, timeouts)?;
-    let parsed = std::str::from_utf8(&raw)
-        .ok()
-        .and_then(|text| serde_json::from_str(text).ok())
-        .unwrap_or(Value::Null);
-    Ok((status, parsed))
+    let payload = body.map(Value::to_string).unwrap_or_default();
+    let reply = exchange(addr, method, path, payload.as_bytes(), timeouts, None)?;
+    Ok((reply.status, reply.json().unwrap_or(Value::Null)))
 }
 
 /// Fetch a snapshot bundle (`{"files": [{name, seq, body}, ...]}`) from
@@ -229,6 +129,7 @@ pub(crate) fn snapshot_bundle(store: &SnapshotStore) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
 
     #[test]
     fn peer_lists_parse_and_reject_empty_entries() {
@@ -283,35 +184,5 @@ mod tests {
 
         let _ = std::fs::remove_dir_all(&src_dir);
         let _ = std::fs::remove_dir_all(&dst_dir);
-    }
-
-    #[test]
-    fn short_replies_are_transport_errors_not_parsed_successes() {
-        // A peer that advertises 100 body bytes but closes after 5: the
-        // client must surface UnexpectedEof, never a 200 with a torn body.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept");
-            let mut buf = [0u8; 4096];
-            let _ = conn.read(&mut buf);
-            let reply = "HTTP/1.1 200 OK\r\ncontent-length: 100\r\nconnection: close\r\n\r\ntorn!";
-            conn.write_all(reply.as_bytes()).expect("reply");
-        });
-        let err = peer_exchange(addr, "GET", "/healthz", None, &PeerTimeouts::default())
-            .expect_err("short body must not parse");
-        server.join().expect("server thread");
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(err.to_string().contains("short peer reply"), "got: {err}");
-    }
-
-    #[test]
-    fn peer_timeouts_derive_from_a_single_knob() {
-        let t = PeerTimeouts::from_ms(250);
-        assert_eq!(t.read, Duration::from_millis(250));
-        assert_eq!(t.connect, Duration::from_millis(250), "connect clamps to read when tighter");
-        let t = PeerTimeouts::from_ms(30_000);
-        assert_eq!(t.read, Duration::from_millis(30_000));
-        assert_eq!(t.connect, Duration::from_millis(1_000), "connect caps at 1 s");
     }
 }

@@ -21,6 +21,12 @@
 //! *slot indices*, not addresses, so a respawned worker (fresh port)
 //! inherits its predecessor's ring segment.
 //!
+//! The ring's members are one list, built in one place
+//! (`RouterShared::members`): the supervised workers first, then the
+//! fixed `--peers` addresses. The router treats both alike — probes,
+//! ejection, quorum writes and failover see only addresses — and only
+//! the supervisor knows which ones it spawned.
+//!
 //! Failover is what makes the fleet resilient rather than just wide:
 //! a connect failure, i/o error mid-reply, or 5xx moves the request to
 //! the next distinct replica on the ring after a backoff
@@ -35,7 +41,7 @@
 //! verbatim, which is why byte-identical-response assertions hold
 //! through it.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,9 +53,10 @@ use ofd_core::{fnv1a64, FaultPlan, Obs};
 use serde_json::{json, Value};
 
 use crate::catalog::{content_fingerprint, Catalog};
-use crate::http::{read_request, HttpError, Request, Response};
+use crate::http::{
+    exchange, read_or_reject, AcceptLoop, PeerTimeouts, Reply, Request, Response,
+};
 use crate::netfault::NET_COUNTERS;
-use crate::peers::PeerTimeouts;
 use crate::retry::{RetryPolicy, RETRIES_EXHAUSTED};
 use crate::supervisor::Supervisor;
 
@@ -133,24 +140,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// Where the router's replicas come from.
-pub enum Fleet {
-    /// A fixed address list (tests, externally managed workers).
-    Static(Vec<SocketAddr>),
-    /// A supervised fleet; the router reads live addresses every
-    /// request, so respawns are picked up immediately.
-    Supervised(Supervisor),
-}
-
-impl Fleet {
-    fn addrs(&self) -> Vec<Option<SocketAddr>> {
-        match self {
-            Fleet::Static(addrs) => addrs.iter().copied().map(Some).collect(),
-            Fleet::Supervised(s) => s.addrs(),
-        }
-    }
-}
-
 /// Per-slot probe verdict with hysteresis counters: the prober ejects a
 /// slot from the hash ring after `eject_after` consecutive failures and
 /// re-admits it after `readmit_after` consecutive successes, so one
@@ -182,7 +171,10 @@ impl SlotHealth {
 struct RouterShared {
     cfg: RouterConfig,
     obs: Obs,
-    fleet: Fleet,
+    /// The local workers, when this router spawns its own.
+    supervisor: Option<Supervisor>,
+    /// Fixed members this router never spawns (`--peers`).
+    peers: Vec<SocketAddr>,
     catalog: Option<Catalog>,
     stopping: AtomicBool,
     /// Set by `POST /admin/drain`; the serve binary polls it and shuts
@@ -195,6 +187,16 @@ struct RouterShared {
 }
 
 impl RouterShared {
+    /// The ring's members, one entry per slot (`None` while a supervised
+    /// worker is down): the supervised workers first, then the fixed
+    /// peers. Slot order never changes, so respawns and peers keep their
+    /// ring positions however many local workers come up.
+    fn members(&self) -> Vec<Option<SocketAddr>> {
+        let mut members = self.supervisor.as_ref().map(Supervisor::addrs).unwrap_or_default();
+        members.extend(self.peers.iter().copied().map(Some));
+        members
+    }
+
     /// Snapshot of the per-slot ejection flags. Slots the prober has not
     /// seen yet (fresh bind, growing fleet) default to in-ring.
     fn ejected_flags(&self) -> Vec<bool> {
@@ -211,15 +213,21 @@ impl RouterShared {
 pub struct Router {
     shared: Arc<RouterShared>,
     addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    accept: AcceptLoop,
+    prober: Option<JoinHandle<()>>,
 }
 
 impl Router {
     /// Binds the front listener and starts the accept and probe loops.
-    pub fn bind(cfg: RouterConfig, fleet: Fleet) -> std::io::Result<Router> {
+    /// The ring's members are `supervisor`'s workers (if any) followed by
+    /// the fixed `peers`; the router spawns nothing itself.
+    pub fn bind(
+        cfg: RouterConfig,
+        supervisor: Option<Supervisor>,
+        peers: Vec<SocketAddr>,
+    ) -> std::io::Result<Router> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let obs = cfg.obs.clone();
         for name in ROUTER_COUNTERS {
             obs.touch_counter(name);
@@ -227,41 +235,40 @@ impl Router {
         for name in NET_COUNTERS {
             obs.touch_counter(name);
         }
-        let slots = fleet.addrs().len();
         let catalog = cfg
             .catalog_dir
             .clone()
             .map(|dir| Catalog::open(dir, FaultPlan::none(), obs.clone()));
         let shared = Arc::new(RouterShared {
             obs,
-            fleet,
+            supervisor,
+            peers,
             catalog,
             stopping: AtomicBool::new(false),
             drain_requested: AtomicBool::new(false),
-            probe_states: Mutex::new(vec![SlotHealth::unknown(); slots]),
+            probe_states: Mutex::new(Vec::new()),
             cfg,
         });
-        let mut threads = Vec::with_capacity(2);
-        {
+        let accept = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ofd-router-accept".into())
-                    .spawn(move || accept_loop(listener, shared))?,
-            );
-        }
-        {
+            AcceptLoop::spawn(listener, "ofd-router-accept", move |stream| {
+                let shared = shared.clone();
+                let _ = std::thread::Builder::new()
+                    .name("ofd-router-conn".into())
+                    .spawn(move || handle_connection(stream, shared));
+            })?
+        };
+        let prober = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ofd-router-probe".into())
-                    .spawn(move || probe_loop(&shared))?,
-            );
-        }
+            std::thread::Builder::new()
+                .name("ofd-router-probe".into())
+                .spawn(move || probe_loop(&shared))?
+        };
         Ok(Router {
             shared,
             addr,
-            threads,
+            accept,
+            prober: Some(prober),
         })
     }
 
@@ -275,9 +282,10 @@ impl Router {
         &self.shared.obs
     }
 
-    /// The fleet (e.g. to SIGKILL a worker from a chaos harness).
-    pub fn fleet(&self) -> &Fleet {
-        &self.shared.fleet
+    /// The supervisor of the local workers, if this router spawned any
+    /// (e.g. to SIGKILL a worker from a chaos harness).
+    pub fn supervisor(&self) -> Option<&Supervisor> {
+        self.shared.supervisor.as_ref()
     }
 
     /// Whether a client asked the fleet to drain via `POST /admin/drain`.
@@ -285,14 +293,15 @@ impl Router {
         self.shared.drain_requested.load(Ordering::SeqCst)
     }
 
-    /// Stops the router threads and, for a supervised fleet, the
-    /// supervisor and its workers.
+    /// Stops the router threads and, when it has one, the supervisor
+    /// and its workers. The front port can be bound again on return.
     pub fn shutdown(mut self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.accept.stop();
+        if let Some(prober) = self.prober.take() {
+            let _ = prober.join();
         }
-        if let Fleet::Supervised(s) = &self.shared.fleet {
+        if let Some(s) = &self.shared.supervisor {
             s.stop();
         }
     }
@@ -376,82 +385,28 @@ fn route_key(req: &Request, body: Option<&Value>, shared: &RouterShared) -> u64 
 
 // ------------------------------------------------------------- forwarding
 
-/// Sends `req` to `addr` and reads the complete reply (workers are
-/// `Connection: close`, so EOF delimits it). Returns the status code
-/// and the raw response bytes for verbatim relay.
-///
-/// Two transport checks make chaos survivable: the per-attempt I/O
-/// timeout is clamped to the client's remaining deadline (a forward that
-/// cannot finish in time fails fast instead of timing out long after the
-/// caller hung up), and a reply whose body is shorter than its
-/// `content-length` is an `UnexpectedEof` — a connection reset mid-body
-/// must never be relayed as a success the client will parse.
+/// Forwards `req` to `addr` through [`exchange`], which clamps the
+/// per-attempt I/O timeout to the client's remaining deadline and turns
+/// a reply shorter than its `content-length` into an error, so a
+/// connection reset mid-body is never relayed as a success.
 fn forward(
     addr: SocketAddr,
     req: &Request,
     cfg: &RouterConfig,
     deadline: Option<Instant>,
-) -> std::io::Result<(u16, Vec<u8>)> {
-    let mut timeout = Duration::from_millis(cfg.forward_timeout_ms);
-    if let Some(deadline) = deadline {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::TimedOut, "request deadline passed")
-            })?;
-        timeout = timeout.min(remaining.max(Duration::from_millis(10)));
-    }
-    let mut stream = TcpStream::connect_timeout(
-        &addr,
-        Duration::from_millis(cfg.connect_timeout_ms).min(timeout),
-    )?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let head = format!(
-        "{} {} HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        req.method,
-        req.path,
-        req.body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&req.body)?;
-    let mut raw = Vec::with_capacity(4096);
-    stream.read_to_end(&mut raw)?;
-    let status = parse_status(&raw).ok_or_else(|| {
-        std::io::Error::other("worker reply missing a status line")
-    })?;
-    if let Some(head_end) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-        let head_text = String::from_utf8_lossy(&raw[..head_end]);
-        if let Some(expected) = crate::peers::content_length(&head_text) {
-            let got = raw.len() - head_end - 4;
-            if got < expected {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("short worker reply: {got} of {expected} body bytes"),
-                ));
-            }
-        }
-    }
-    Ok((status, raw))
-}
-
-fn parse_status(raw: &[u8]) -> Option<u16> {
-    let line_end = raw.windows(2).position(|w| w == b"\r\n")?;
-    let line = std::str::from_utf8(&raw[..line_end]).ok()?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// The JSON body of a raw reply, for the adoption check only.
-fn reply_body(raw: &[u8]) -> Option<Value> {
-    let sep = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-    serde_json::from_str(std::str::from_utf8(&raw[sep + 4..]).ok()?).ok()
+) -> std::io::Result<Reply> {
+    let timeouts = PeerTimeouts {
+        connect: Duration::from_millis(cfg.connect_timeout_ms),
+        read: Duration::from_millis(cfg.forward_timeout_ms),
+    };
+    exchange(addr, &req.method, &req.path, &req.body, &timeouts, deadline)
 }
 
 /// Whether a 200 reply reports a checkpoint resume — on a *retried*
 /// request this is adoption: the replica restored a checkpoint some
 /// other worker wrote.
-fn reply_resumed(raw: &[u8]) -> bool {
-    reply_body(raw).is_some_and(|v| {
+fn reply_resumed(body: Option<Value>) -> bool {
+    body.is_some_and(|v| {
         ["resumed_from_level", "resumed_from_phase", "resumed_from_seq"]
             .iter()
             .any(|f| v.get(f).is_some_and(|x| !x.is_null()))
@@ -459,23 +414,6 @@ fn reply_resumed(raw: &[u8]) -> bool {
 }
 
 // ------------------------------------------------------------ front loops
-
-fn accept_loop(listener: TcpListener, shared: Arc<RouterShared>) {
-    while !shared.stopping.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = shared.clone();
-                let _ = std::thread::Builder::new()
-                    .name("ofd-router-conn".into())
-                    .spawn(move || handle_connection(stream, shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
 
 /// Polls every worker's `/readyz` and records its `state` label; a slot
 /// that refuses the connection is `down`. The verdicts drive ring
@@ -488,7 +426,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<RouterShared>) {
 /// router's own `/readyz` serves.
 fn probe_loop(shared: &RouterShared) {
     while !shared.stopping.load(Ordering::SeqCst) {
-        let addrs = shared.fleet.addrs();
+        let addrs = shared.members();
         {
             let mut health = shared.probe_states.lock().expect("probe states lock");
             if health.len() != addrs.len() {
@@ -534,16 +472,14 @@ fn probe_loop(shared: &RouterShared) {
 }
 
 fn probe_one(addr: SocketAddr, cfg: &RouterConfig) -> Option<String> {
-    let req = Request {
-        method: "GET".into(),
-        path: "/readyz".into(),
-        headers: Vec::new(),
-        body: Vec::new(),
+    let connect = Duration::from_millis(cfg.connect_timeout_ms);
+    let timeouts = PeerTimeouts {
+        connect,
+        read: connect.max(Duration::from_millis(250)),
     };
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.forward_timeout_ms = cfg.connect_timeout_ms.max(250);
-    let (_, raw) = forward(addr, &req, &probe_cfg, None).ok()?;
-    let state = reply_body(&raw)?
+    let reply = exchange(addr, "GET", "/readyz", b"", &timeouts, None).ok()?;
+    let state = reply
+        .json()?
         .get("state")
         .and_then(Value::as_str)
         .unwrap_or("unknown")
@@ -553,25 +489,8 @@ fn probe_one(addr: SocketAddr, cfg: &RouterConfig) -> Option<String> {
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
     let cfg = &shared.cfg;
-    let req = match read_request(
-        &mut stream,
-        cfg.max_body_bytes,
-        Duration::from_millis(cfg.head_timeout_ms),
-    ) {
-        Ok(req) => req,
-        // A client that vanished before or mid-request gets no reply —
-        // there is nobody left to read it.
-        Err(HttpError::Disconnected | HttpError::Truncated) => return,
-        Err(e) => {
-            let status = match e {
-                HttpError::HeadTooLarge => 431,
-                HttpError::BodyTooLarge => 413,
-                _ => 400,
-            };
-            let _ = Response::json(status, &json!({ "error": format!("{e}") }))
-                .write_to(&mut stream);
-            return;
-        }
+    let Some(req) = read_or_reject(&mut stream, cfg.max_body_bytes, Duration::from_millis(cfg.head_timeout_ms)) else {
+        return;
     };
 
     match (req.method.as_str(), req.path.as_str()) {
@@ -579,7 +498,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
             let _ = Response::text(200, "ok\n").write_to(&mut stream);
         }
         ("GET", "/readyz") => {
-            let addrs = shared.fleet.addrs();
+            let addrs = shared.members();
             let states = shared.probe_states.lock().expect("probe states lock").clone();
             let workers: Vec<Value> = addrs
                 .iter()
@@ -630,13 +549,13 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
             // holds no in-flight engine state to checkpoint.
             shared.drain_requested.store(true, Ordering::SeqCst);
             let mut drained = 0u64;
-            for addr in shared.fleet.addrs().into_iter().flatten() {
-                let drain = Request {
-                    method: "POST".into(),
-                    path: "/admin/drain".into(),
-                    headers: Vec::new(),
-                    body: Vec::new(),
-                };
+            let drain = Request {
+                method: "POST".into(),
+                path: "/admin/drain".into(),
+                headers: Vec::new(),
+                body: Vec::new(),
+            };
+            for addr in shared.members().into_iter().flatten() {
                 if forward(addr, &drain, cfg, None).is_ok() {
                     drained += 1;
                 }
@@ -699,7 +618,7 @@ fn replicate_put(req: &Request, stream: &mut TcpStream, shared: &RouterShared, n
             return;
         }
     };
-    let addrs = shared.fleet.addrs();
+    let addrs = shared.members();
     let total = addrs.len();
     let quorum = total / 2 + 1;
     let ejected = shared.ejected_flags();
@@ -797,14 +716,9 @@ fn replicate_put(req: &Request, stream: &mut TcpStream, shared: &RouterShared, n
 
     // Quorum failed: delete the pinned version wherever it landed, so no
     // surviving peer ever serves a write the fleet did not commit.
+    let rollback = format!("/v1/datasets/{name}/{pinned}");
     for &addr in &acks {
-        let _ = crate::peers::peer_exchange(
-            addr,
-            "DELETE",
-            &format!("/v1/datasets/{name}/{pinned}"),
-            None,
-            &timeouts,
-        );
+        let _ = exchange(addr, "DELETE", &rollback, b"", &timeouts, None);
     }
     match rejection {
         Some((status, reply)) => {
@@ -840,7 +754,7 @@ fn route(req: Request, mut stream: TcpStream, shared: &Arc<RouterShared>) {
     };
     let key = route_key(&req, body.as_ref(), shared);
 
-    let slots = shared.fleet.addrs().len();
+    let slots = shared.members().len();
     let ring = build_ring(slots, cfg.vnodes_per_slot.max(1));
     let order = candidates(&ring, slots, key);
 
@@ -883,7 +797,7 @@ fn route(req: Request, mut stream: TcpStream, shared: &Arc<RouterShared>) {
             // failover swaps the port under us, and that fresh worker is
             // exactly who we want next. A down slot costs no sleep — the
             // backoff belongs to real retries, not skipped ones.
-            let Some(addr) = shared.fleet.addrs().get(slot).copied().flatten() else {
+            let Some(addr) = shared.members().get(slot).copied().flatten() else {
                 last_error = format!("worker slot {slot} is down");
                 continue;
             };
@@ -894,15 +808,15 @@ fn route(req: Request, mut stream: TcpStream, shared: &Arc<RouterShared>) {
                 }
             }
             match forward(addr, &req, cfg, deadline) {
-                Ok((status, raw)) if status < 500 => {
+                Ok(reply) if reply.status < 500 => {
                     obs.inc("serve.router.routed");
-                    if session.failures() > 0 && status == 200 && reply_resumed(&raw) {
+                    if session.failures() > 0 && reply.status == 200 && reply_resumed(reply.json()) {
                         obs.inc("serve.router.adopted");
                     }
-                    let _ = stream.write_all(&raw);
+                    let _ = stream.write_all(&reply.raw);
                     return;
                 }
-                Ok((status, _)) => {
+                Ok(Reply { status, .. }) => {
                     last_error = format!("worker {addr} answered {status} (round {round})");
                     match session.after_failure(false) {
                         Some(sleep) => pending_sleep = Some(sleep),
@@ -926,7 +840,6 @@ fn route(req: Request, mut stream: TcpStream, shared: &Arc<RouterShared>) {
             session.failures()
         );
     }
-    obs.inc("serve.router.exhausted");
     obs.inc(RETRIES_EXHAUSTED);
     let _ = Response::json(
         502,
@@ -982,20 +895,16 @@ mod tests {
     }
 
     #[test]
-    fn status_line_parsing() {
-        assert_eq!(parse_status(b"HTTP/1.1 200 OK\r\n\r\n"), Some(200));
-        assert_eq!(parse_status(b"HTTP/1.1 503 Service Unavailable\r\nx: y\r\n\r\n"), Some(503));
-        assert_eq!(parse_status(b"garbage"), None);
-    }
-
-    #[test]
     fn resumed_detection_reads_the_reply_body() {
-        let raw = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\r\n{\"resumed_from_level\":3}";
-        assert!(reply_resumed(raw));
-        let raw = b"HTTP/1.1 200 OK\r\n\r\n{\"resumed_from_seq\":7}";
-        assert!(reply_resumed(raw), "stream-session adoption is detected");
-        let raw = b"HTTP/1.1 200 OK\r\n\r\n{\"resumed_from_level\":null,\"resumed_from_phase\":null,\"resumed_from_seq\":null}";
-        assert!(!reply_resumed(raw));
+        assert!(reply_resumed(Some(json!({"resumed_from_level": 3}))));
+        assert!(
+            reply_resumed(Some(json!({"resumed_from_seq": 7}))),
+            "stream-session adoption is detected"
+        );
+        assert!(!reply_resumed(Some(json!({
+            "resumed_from_level": null, "resumed_from_phase": null, "resumed_from_seq": null
+        }))));
+        assert!(!reply_resumed(None), "a non-JSON body is no resume");
     }
 
     #[test]
@@ -1006,24 +915,18 @@ mod tests {
                 obs: obs.clone(),
                 ..RouterConfig::default()
             },
-            Fleet::Static(Vec::new()),
+            None,
+            Vec::new(),
         )
         .expect("bind");
         let addr = router.addr();
 
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(b"POST /v1/discover HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}")
-            .expect("write");
-        let mut reply = Vec::new();
-        s.read_to_end(&mut reply).expect("read");
-        assert_eq!(parse_status(&reply), Some(502), "no replicas → bad gateway");
+        let (status, _) = call(addr, "POST", "/v1/discover", b"{}");
+        assert_eq!(status, 502, "no replicas → bad gateway");
 
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").expect("write");
-        let mut reply = Vec::new();
-        s.read_to_end(&mut reply).expect("read");
-        assert_eq!(parse_status(&reply), Some(200));
-        let body = reply_body(&reply).expect("metrics json");
+        let (status, body) = call(addr, "GET", "/metrics", b"");
+        assert_eq!(status, 200);
+        let body = body.expect("metrics json");
         let counters = body.get("counters").expect("counters");
         for name in ROUTER_COUNTERS {
             assert!(counters.get(name).is_some(), "{name} pinned at bind");
@@ -1048,7 +951,8 @@ mod tests {
                 ..RouterConfig::default()
             },
             obs: Obs::disabled(),
-            fleet: Fleet::Static(Vec::new()),
+            supervisor: None,
+            peers: Vec::new(),
             catalog: Some(catalog),
             stopping: AtomicBool::new(false),
             drain_requested: AtomicBool::new(false),
@@ -1075,12 +979,20 @@ mod tests {
         listener.local_addr().expect("addr")
     }
 
-    /// Runs `route` against a fleet and returns (status, elapsed).
-    fn route_once(cfg: RouterConfig, fleet: Fleet, body: &Value) -> (Option<u16>, Duration) {
+    /// One request through the crate's client; (status, JSON body).
+    fn call(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Option<Value>) {
+        let timeouts = PeerTimeouts::from_ms(30_000);
+        let reply = exchange(addr, method, path, body, &timeouts, None).expect("exchange");
+        (reply.status, reply.json())
+    }
+
+    /// Runs `route` over fixed `peers` and returns (status, elapsed).
+    fn route_once(cfg: RouterConfig, peers: Vec<SocketAddr>, body: &Value) -> (u16, Duration) {
         let shared = Arc::new(RouterShared {
             cfg,
             obs: Obs::disabled(),
-            fleet,
+            supervisor: None,
+            peers,
             catalog: None,
             stopping: AtomicBool::new(false),
             drain_requested: AtomicBool::new(false),
@@ -1088,20 +1000,16 @@ mod tests {
         });
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let mut client = TcpStream::connect(addr).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        let req = Request {
-            method: "POST".into(),
-            path: "/v1/discover".into(),
-            headers: Vec::new(),
-            body: serde_json::to_string(body).expect("body").into_bytes(),
-        };
+        let front = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let req = read_or_reject(&mut stream, 1 << 20, Duration::from_secs(5)).expect("request");
+            route(req, stream, &shared);
+        });
         let started = Instant::now();
-        route(req, server_side, &shared);
+        let (status, _) = call(addr, "POST", "/v1/discover", body.to_string().as_bytes());
         let elapsed = started.elapsed();
-        let mut reply = Vec::new();
-        client.read_to_end(&mut reply).expect("read");
-        (parse_status(&reply), elapsed)
+        front.join().expect("front thread");
+        (status, elapsed)
     }
 
     #[test]
@@ -1117,9 +1025,9 @@ mod tests {
             obs: Obs::disabled(),
             ..RouterConfig::default()
         };
-        let fleet = Fleet::Static(vec![dead_addr(), dead_addr()]);
-        let (status, elapsed) = route_once(cfg, fleet, &json!({"timeout_ms": 50u64}));
-        assert_eq!(status, Some(502), "dead fleet → bad gateway");
+        let peers = vec![dead_addr(), dead_addr()];
+        let (status, elapsed) = route_once(cfg, peers, &json!({"timeout_ms": 50u64}));
+        assert_eq!(status, 502, "dead fleet → bad gateway");
         assert!(
             elapsed < Duration::from_secs(10),
             "deadline-clamped failover must not sleep the configured {:?}-scale backoff (took {elapsed:?})",
@@ -1138,9 +1046,8 @@ mod tests {
             obs: Obs::disabled(),
             ..RouterConfig::default()
         };
-        let fleet = Fleet::Static(vec![dead_addr()]);
-        let (status, elapsed) = route_once(cfg, fleet, &json!({"csv": "A\n1\n"}));
-        assert_eq!(status, Some(502));
+        let (status, elapsed) = route_once(cfg, vec![dead_addr()], &json!({"csv": "A\n1\n"}));
+        assert_eq!(status, 502);
         assert!(
             elapsed < Duration::from_secs(5),
             "no-retry path must answer without backoff (took {elapsed:?})"
@@ -1160,9 +1067,9 @@ mod tests {
             obs: Obs::disabled(),
             ..RouterConfig::default()
         };
-        let fleet = Fleet::Static(vec![dead_addr(), dead_addr(), dead_addr()]);
-        let (status, elapsed) = route_once(cfg, fleet, &json!({"csv": "A\n1\n"}));
-        assert_eq!(status, Some(502));
+        let peers = vec![dead_addr(), dead_addr(), dead_addr()];
+        let (status, elapsed) = route_once(cfg, peers, &json!({"csv": "A\n1\n"}));
+        assert_eq!(status, 502);
         assert!(
             elapsed < Duration::from_secs(5),
             "refused connections must not consume the backoff budget (took {elapsed:?})"
@@ -1174,55 +1081,19 @@ mod tests {
     /// 503 `draining`; otherwise 200 `ok`. Flipping health through the
     /// budget (instead of rebinding a listener) keeps the port stable
     /// across the flap, which is exactly the case hysteresis exists for.
-    fn scripted_worker(
-        fail_budget: Arc<std::sync::atomic::AtomicU32>,
-    ) -> (SocketAddr, Arc<AtomicBool>) {
+    fn scripted_worker(fail_budget: Arc<std::sync::atomic::AtomicU32>) -> (SocketAddr, AcceptLoop) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        listener.set_nonblocking(true).expect("nonblocking");
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        std::thread::spawn(move || {
-            while !stop2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((mut s, _)) => {
-                        let _ = s.set_read_timeout(Some(Duration::from_millis(500)));
-                        let mut buf = [0u8; 1024];
-                        let _ = s.read(&mut buf);
-                        let failing = fail_budget
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
-                                b.checked_sub(1)
-                            })
-                            .is_ok();
-                        let body = if failing {
-                            r#"{"state":"draining"}"#
-                        } else {
-                            r#"{"state":"ok"}"#
-                        };
-                        let status = if failing { 503 } else { 200 };
-                        let reply = format!(
-                            "HTTP/1.1 {status} X\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-                            body.len()
-                        );
-                        let _ = s.write_all(reply.as_bytes());
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        (addr, stop)
-    }
-
-    fn http_get(addr: SocketAddr, path: &str) -> (Option<u16>, Option<Value>) {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
-            .expect("write");
-        let mut reply = Vec::new();
-        s.read_to_end(&mut reply).expect("read");
-        (parse_status(&reply), reply_body(&reply))
+        let accept = AcceptLoop::spawn(listener, "scripted-worker", move |mut s| {
+            let _ = read_or_reject(&mut s, 1024, Duration::from_millis(500));
+            let failing = fail_budget
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
+                .is_ok();
+            let (status, state) = if failing { (503, "draining") } else { (200, "ok") };
+            let _ = Response::json(status, &json!({ "state": state })).write_to(&mut s);
+        })
+        .expect("scripted worker");
+        (addr, accept)
     }
 
     fn counter(obs: &Obs, name: &str) -> u64 {
@@ -1242,8 +1113,8 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         let steady = Arc::new(AtomicU32::new(0));
         let flappy = Arc::new(AtomicU32::new(0));
-        let (addr_a, stop_a) = scripted_worker(steady.clone());
-        let (addr_b, stop_b) = scripted_worker(flappy.clone());
+        let (addr_a, mut worker_a) = scripted_worker(steady.clone());
+        let (addr_b, mut worker_b) = scripted_worker(flappy.clone());
         let obs = Obs::enabled();
         let router = Router::bind(
             RouterConfig {
@@ -1254,7 +1125,8 @@ mod tests {
                 obs: obs.clone(),
                 ..RouterConfig::default()
             },
-            Fleet::Static(vec![addr_a, addr_b]),
+            None,
+            vec![addr_a, addr_b],
         )
         .expect("bind");
 
@@ -1279,8 +1151,8 @@ mod tests {
             1,
             "continued failures must not re-count an already ejected slot"
         );
-        let (status, body) = http_get(router.addr(), "/readyz");
-        assert_eq!(status, Some(200), "one live worker keeps the router ready");
+        let (status, body) = call(router.addr(), "GET", "/readyz", b"");
+        assert_eq!(status, 200, "one live worker keeps the router ready");
         let body = body.expect("readyz body");
         assert_eq!(body.get("state").and_then(Value::as_str), Some("degraded"));
         assert_eq!(body.get("live_workers").and_then(Value::as_u64), Some(1));
@@ -1292,8 +1164,8 @@ mod tests {
         wait_until(Duration::from_secs(10), "readmission", || {
             counter(&obs, "serve.router.ring.readmitted") == 1
         });
-        let (status, body) = http_get(router.addr(), "/readyz");
-        assert_eq!(status, Some(200));
+        let (status, body) = call(router.addr(), "GET", "/readyz", b"");
+        assert_eq!(status, 200);
         let body = body.expect("readyz body");
         assert_eq!(body.get("state").and_then(Value::as_str), Some("ok"));
         assert_eq!(body.get("live_workers").and_then(Value::as_u64), Some(2));
@@ -1305,8 +1177,8 @@ mod tests {
         });
 
         router.shutdown();
-        stop_a.store(true, Ordering::SeqCst);
-        stop_b.store(true, Ordering::SeqCst);
+        worker_a.stop();
+        worker_b.stop();
     }
 
     /// Three real workers with *disjoint* catalog roots behind a static
@@ -1337,7 +1209,8 @@ mod tests {
                 obs: obs.clone(),
                 ..RouterConfig::default()
             },
-            Fleet::Static(addrs),
+            None,
+            addrs,
         )
         .expect("router bind");
         (servers, router, obs, tmp)
@@ -1422,5 +1295,64 @@ mod tests {
             s.shutdown(Duration::from_millis(200));
         }
         let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
+    fn idle_shutdown_returns_promptly_and_frees_the_port() {
+        let router = Router::bind(RouterConfig::default(), None, Vec::new()).expect("bind");
+        let addr = router.addr();
+        let t = Instant::now();
+        router.shutdown();
+        assert!(t.elapsed() < Duration::from_secs(1), "shutdown took {:?}", t.elapsed());
+        TcpListener::bind(addr).expect("the port can be bound again");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn peers_follow_the_supervised_slots_on_the_ring_and_are_never_spawned() {
+        use crate::supervisor::{SupervisorConfig, WorkerSpec};
+        // A local worker that only prints its banner and sleeps.
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            banner_timeout: Duration::from_secs(5),
+            obs: Obs::disabled(),
+            ..SupervisorConfig::new(WorkerSpec {
+                program: "/bin/sh".into(),
+                args: vec!["-c".into(), "echo listening on 127.0.0.1:9005; sleep 30".into()],
+            })
+        })
+        .expect("supervisor");
+        let remote: SocketAddr = "10.1.2.3:7777".parse().unwrap();
+        let router = Router::bind(
+            RouterConfig {
+                probe_interval_ms: 20,
+                connect_timeout_ms: 50,
+                obs: Obs::disabled(),
+                ..RouterConfig::default()
+            },
+            Some(supervisor),
+            vec![remote],
+        )
+        .expect("bind");
+        let local: SocketAddr = "127.0.0.1:9005".parse().unwrap();
+        assert_eq!(
+            router.shared.members(),
+            vec![Some(local), Some(remote)],
+            "supervised slots first, then the peers"
+        );
+        let (_, body) = call(router.addr(), "GET", "/readyz", b"");
+        let body = body.expect("readyz body");
+        let workers = body.get("workers").and_then(Value::as_array).expect("workers");
+        assert_eq!(workers[0].get("addr"), Some(&json!("127.0.0.1:9005")));
+        assert_eq!(workers[1].get("addr"), Some(&json!("10.1.2.3:7777")));
+        // Several probe rounds later the peer is still a fixed member,
+        // and the supervisor still owns exactly its one local child.
+        std::thread::sleep(Duration::from_millis(200));
+        let sup = router.supervisor().expect("supervisor");
+        assert_eq!(sup.pids().len(), 1, "the peer never became a spawned slot");
+        assert!(sup.pids()[0].is_some());
+        assert!(!sup.kill_worker(1), "nothing local to kill at the peer's slot");
+        assert_eq!(router.shared.members()[1], Some(remote));
+        router.shutdown();
     }
 }

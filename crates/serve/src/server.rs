@@ -33,7 +33,7 @@ use serde_json::{json, Value};
 
 use crate::breaker::{Admission, Breaker};
 use crate::catalog::{Catalog, CatalogError};
-use crate::http::{read_request, HttpError, Request, Response};
+use crate::http::{read_or_reject, AcceptLoop, Request, Response};
 use crate::jobs::{self, Endpoint, JobContext, JobError, ENDPOINTS, ENDPOINT_COUNT};
 use crate::stream::{StreamSessions, STREAM_COUNTERS};
 use crate::queue::{BoundedQueue, Full};
@@ -202,6 +202,7 @@ pub struct ServeSummary {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
+    accept: AcceptLoop,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -211,7 +212,6 @@ impl Server {
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let obs = cfg.obs.clone();
         for name in SERVE_COUNTERS {
@@ -245,7 +245,7 @@ impl Server {
             Arc::new(
                 Catalog::open(dir, cfg.faults.clone(), obs.clone())
                     .with_peers(cfg.peers.clone())
-                    .with_peer_timeouts(crate::peers::PeerTimeouts::from_ms(cfg.peer_timeout_ms)),
+                    .with_peer_timeouts(crate::http::PeerTimeouts::from_ms(cfg.peer_timeout_ms)),
             )
         });
 
@@ -269,15 +269,20 @@ impl Server {
             cfg,
         });
 
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
+        let accept = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ofd-serve-accept".into())
-                    .spawn(move || accept_loop(listener, shared))?,
-            );
-        }
+            AcceptLoop::spawn(listener, "ofd-serve-accept", move |stream| {
+                let shared = shared.clone();
+                // One short-lived thread per connection for the parse +
+                // admission stage only; heavy work happens in the fixed
+                // worker pool. A slow client therefore cannot stall the
+                // accept loop, and admission itself never blocks.
+                let _ = std::thread::Builder::new()
+                    .name("ofd-serve-conn".into())
+                    .spawn(move || handle_connection(stream, shared));
+            })?
+        };
+        let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
             let shared = shared.clone();
             threads.push(
@@ -289,6 +294,7 @@ impl Server {
         Ok(Server {
             shared,
             addr,
+            accept,
             threads,
         })
     }
@@ -340,6 +346,7 @@ impl Server {
         }
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.queue.close();
+        self.accept.stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -359,27 +366,6 @@ impl Server {
 
 // ------------------------------------------------------------ accept side
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stopping.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = shared.clone();
-                // One short-lived thread per connection for the parse +
-                // admission stage only; heavy work happens in the fixed
-                // worker pool. A slow client therefore cannot stall the
-                // accept loop, and admission itself never blocks.
-                let _ = std::thread::Builder::new()
-                    .name("ofd-serve-conn".into())
-                    .spawn(move || handle_connection(stream, shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
 fn retry_after_headers(resp: Response, hint: Duration) -> Response {
     let secs = hint.as_secs() + u64::from(hint.subsec_nanos() > 0);
     resp.with_header("retry-after", secs.max(1).to_string())
@@ -391,25 +377,8 @@ fn shed_body(error: &str, retry_after_ms: u64) -> Value {
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let cfg = &shared.cfg;
-    let req = match read_request(
-        &mut stream,
-        cfg.max_body_bytes,
-        Duration::from_millis(cfg.head_timeout_ms.max(1)),
-    ) {
-        Ok(req) => req,
-        // Both mean the client is gone: nothing arrived, or it hung up
-        // mid-body. Neither is answerable, so no 400 goes on the wire.
-        Err(HttpError::Disconnected | HttpError::Truncated) => return,
-        Err(e) => {
-            let status = match e {
-                HttpError::HeadTooLarge => 431,
-                HttpError::BodyTooLarge => 413,
-                _ => 400,
-            };
-            let _ = Response::json(status, &json!({ "error": format!("{e}") }))
-                .write_to(&mut stream);
-            return;
-        }
+    let Some(req) = read_or_reject(&mut stream, cfg.max_body_bytes, Duration::from_millis(cfg.head_timeout_ms.max(1))) else {
+        return;
     };
 
     match (req.method.as_str(), req.path.as_str()) {
@@ -876,7 +845,7 @@ fn execute_job(mut job: Job, shared: &Arc<Shared>) {
         catalog: shared.catalog.clone(),
         sessions: shared.sessions.clone(),
         peers: shared.cfg.peers.clone(),
-        peer_timeouts: crate::peers::PeerTimeouts::from_ms(shared.cfg.peer_timeout_ms),
+        peer_timeouts: crate::http::PeerTimeouts::from_ms(shared.cfg.peer_timeout_ms),
     };
     let span = obs.span(&format!("serve.job.{}", job.endpoint.label()));
     let result = catch_unwind(AssertUnwindSafe(|| {

@@ -929,7 +929,7 @@ mod tests {
             catalog: None,
             sessions: Arc::new(StreamSessions::new()),
             peers: Vec::new(),
-            peer_timeouts: crate::peers::PeerTimeouts::default(),
+            peer_timeouts: crate::http::PeerTimeouts::default(),
         }
     }
 

@@ -18,9 +18,10 @@
 //!   respawn thousands of times a second). `serve.router.storm_cooldowns`
 //!   counts trips; the slot rejoins the ring after the cooldown.
 //!
-//! The supervisor deliberately knows nothing about HTTP routing; it owns
-//! processes and addresses, and the [`Router`](crate::Router) reads the
-//! live address set from it on every request.
+//! The supervisor only spawns and respawns local workers and knows
+//! nothing about HTTP routing; the [`Router`](crate::Router) reads the
+//! live address set from it on every request and appends its fixed
+//! `--peers` after it.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
@@ -63,11 +64,6 @@ pub struct SupervisorConfig {
     pub max_restarts_in_window: u32,
     /// How long a tripped slot sits out before the next respawn attempt.
     pub storm_cooldown: Duration,
-    /// Fixed remote worker addresses appended as extra slots after the
-    /// local ones. The supervisor never spawns, reaps, or respawns these
-    /// — their lifecycle belongs to another host; the router's prober
-    /// decides whether they are routable.
-    pub remote: Vec<SocketAddr>,
     /// Metrics handle (`serve.router.respawned`, ...).
     pub obs: Obs,
 }
@@ -82,7 +78,6 @@ impl SupervisorConfig {
             restart_window: Duration::from_secs(10),
             max_restarts_in_window: 5,
             storm_cooldown: Duration::from_secs(30),
-            remote: Vec::new(),
             obs: Obs::enabled(),
         }
     }
@@ -96,11 +91,6 @@ struct Slot {
     restarts: VecDeque<Instant>,
     /// Set while the storm breaker holds the slot down.
     cooling_until: Option<Instant>,
-    /// Set for slots that front a worker on another host: the address is
-    /// fixed, there is no child process, and the monitor leaves the slot
-    /// alone — `child: None` here means "not ours to restart", not
-    /// "down".
-    remote: bool,
 }
 
 struct Inner {
@@ -115,8 +105,13 @@ pub struct Supervisor {
     monitor: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// Spawns one worker and scrapes its `listening on ADDR` banner.
-fn spawn_worker(spec: &WorkerSpec, banner_timeout: Duration) -> std::io::Result<(Child, SocketAddr)> {
+/// Spawns one worker and scrapes its `listening on ADDR` banner — the
+/// one launcher for every process that announces itself that way (the
+/// supervisor's workers, and the soak harness's server children). The
+/// child's stdout keeps being drained after the banner so it never
+/// blocks on a full pipe; a child that exits or stays silent for
+/// `banner_timeout` is killed and reported as an error.
+pub fn spawn_worker(spec: &WorkerSpec, banner_timeout: Duration) -> std::io::Result<(Child, SocketAddr)> {
     let mut child = Command::new(&spec.program)
         .args(&spec.args)
         .stdout(Stdio::piped())
@@ -176,7 +171,7 @@ impl Supervisor {
     /// monitor keeps trying, and a fleet with zero live workers is a
     /// valid (if useless) state the router answers 502 for.
     pub fn start(cfg: SupervisorConfig) -> std::io::Result<Supervisor> {
-        let mut slots = Vec::with_capacity(cfg.workers + cfg.remote.len());
+        let mut slots = Vec::with_capacity(cfg.workers);
         for _ in 0..cfg.workers {
             let slot = match spawn_worker(&cfg.spec, cfg.banner_timeout) {
                 Ok((child, addr)) => Slot {
@@ -184,29 +179,15 @@ impl Supervisor {
                     addr: Some(addr),
                     restarts: VecDeque::new(),
                     cooling_until: None,
-                    remote: false,
                 },
                 Err(_) => Slot {
                     child: None,
                     addr: None,
                     restarts: VecDeque::new(),
                     cooling_until: Some(Instant::now() + cfg.storm_cooldown),
-                    remote: false,
                 },
             };
             slots.push(slot);
-        }
-        // Remote slots ride after the local ones so slot indices — and
-        // with them consistent-hash ring positions — are stable however
-        // many local workers spawn successfully.
-        for addr in &cfg.remote {
-            slots.push(Slot {
-                child: None,
-                addr: Some(*addr),
-                restarts: VecDeque::new(),
-                cooling_until: None,
-                remote: true,
-            });
         }
         let inner = Arc::new(Inner {
             cfg,
@@ -288,11 +269,6 @@ fn monitor_loop(inner: &Inner) {
         for slot in slots.iter_mut() {
             if inner.stopping.load(Ordering::SeqCst) {
                 return;
-            }
-            // Remote slots have no child to reap or respawn; the router's
-            // probe loop owns their health story.
-            if slot.remote {
-                continue;
             }
             // Reap an exited child; leave a running one alone.
             if let Some(child) = slot.child.as_mut() {
@@ -411,26 +387,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(25));
         }
         assert!(obs.snapshot().counter("serve.router.respawned").unwrap_or(0) >= 1);
-        s.stop();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn remote_slots_are_never_spawned_or_respawned() {
-        let remote: SocketAddr = "10.1.2.3:7777".parse().unwrap();
-        let mut c = cfg(fake_worker(9004, 30), 1);
-        c.remote = vec![remote];
-        let s = Supervisor::start(c).expect("start");
-        let addrs = s.addrs();
-        assert_eq!(addrs.len(), 2, "one local slot plus one remote slot");
-        assert_eq!(addrs[1], Some(remote));
-        assert_eq!(s.pids()[1], None, "remote slot has no child process");
-        assert!(!s.kill_worker(1), "nothing local to kill");
-        // Give the monitor a few cycles: it must not treat the
-        // child-less remote slot as crashed and try to spawn into it.
-        std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(s.addrs()[1], Some(remote), "monitor left the remote slot alone");
-        assert_eq!(s.pids()[1], None);
         s.stop();
     }
 

@@ -1,8 +1,12 @@
-//! Throwaway repro: unknown-dataset describe with mutual peers.
+//! Regression: a bare-name lookup that misses everywhere, on two servers
+//! that list each other as peers, must end after one question per peer.
+//! It used to bounce between them — each hop a describe that asked the
+//! other side again — until the processes ran out of threads.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
+
+use ofd_serve::{exchange, PeerTimeouts, ServeConfig, Server};
 
 fn free_port() -> u16 {
     TcpListener::bind("127.0.0.1:0")
@@ -13,7 +17,7 @@ fn free_port() -> u16 {
 }
 
 #[test]
-fn unknown_dataset_describe_with_mutual_peers() {
+fn unknown_dataset_describe_with_mutual_peers_stays_bounded() {
     let pa = free_port();
     let pb = free_port();
     let tmp = std::env::temp_dir().join(format!("ofd-recursion-repro-{}", std::process::id()));
@@ -21,37 +25,27 @@ fn unknown_dataset_describe_with_mutual_peers() {
 
     let obs_a = ofd_core::Obs::enabled();
     let obs_b = ofd_core::Obs::enabled();
-    let mk = |port: u16, peer: u16, who: &str, obs: &ofd_core::Obs| ofd_serve::ServeConfig {
+    let mk = |port: u16, peer: u16, who: &str, obs: &ofd_core::Obs| ServeConfig {
         addr: format!("127.0.0.1:{port}"),
         checkpoint_dir: Some(tmp.join(who)),
         peers: vec![format!("127.0.0.1:{peer}").parse().unwrap()],
         obs: obs.clone(),
-        ..ofd_serve::ServeConfig::default()
+        ..ServeConfig::default()
     };
-    let _a = ofd_serve::Server::bind(mk(pa, pb, "a", &obs_a)).expect("bind a");
-    let _b = ofd_serve::Server::bind(mk(pb, pa, "b", &obs_b)).expect("bind b");
+    let a = Server::bind(mk(pa, pb, "a", &obs_a)).expect("bind a");
+    let b = Server::bind(mk(pb, pa, "b", &obs_b)).expect("bind b");
 
-    let start = std::time::Instant::now();
-    let mut s = TcpStream::connect(("127.0.0.1", pa)).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    s.write_all(b"GET /v1/datasets/nope HTTP/1.1\r\nconnection: close\r\n\r\n")
-        .unwrap();
-    let mut reply = Vec::new();
-    let _ = s.read_to_end(&mut reply);
-    let elapsed = start.elapsed();
+    let start = Instant::now();
+    let reply = exchange(a.addr(), "GET", "/v1/datasets/nope", b"", &PeerTimeouts::from_ms(30_000), None)
+        .expect("describe");
+    assert_eq!(reply.status, 400, "an unknown dataset is a bad request");
+    assert!(start.elapsed() < Duration::from_secs(5), "took {:?}", start.elapsed());
 
     let count = |obs: &ofd_core::Obs| obs.snapshot().counter("serve.requests").unwrap_or(0);
-    eprintln!(
-        "repro: one client GET took {elapsed:?}; serve.requests a={} b={}; reply head: {}",
-        count(&obs_a),
-        count(&obs_b),
-        String::from_utf8_lossy(&reply[..reply.len().min(120)])
-    );
-    // Give lingering recursion a moment, then sample again.
-    std::thread::sleep(Duration::from_secs(2));
-    eprintln!(
-        "repro after 2s more: serve.requests a={} b={}",
-        count(&obs_a),
-        count(&obs_b)
-    );
+    assert_eq!(count(&obs_a), 1, "a served only the client");
+    assert_eq!(count(&obs_b), 1, "b answered one listing and was never asked to describe");
+
+    a.shutdown(Duration::from_secs(5));
+    b.shutdown(Duration::from_secs(5));
+    let _ = std::fs::remove_dir_all(&tmp);
 }

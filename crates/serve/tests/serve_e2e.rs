@@ -2,74 +2,40 @@
 //! worker pool, real engines. Each test binds its own server on a free
 //! port and shuts it down explicitly.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ofd_datagen::{clinical, csv, PresetConfig};
 use ofd_discovery::{DiscoveryOptions, FastOfd};
-use ofd_serve::{ServeConfig, Server};
+use ofd_serve::{exchange, PeerTimeouts, ServeConfig, Server};
 use serde_json::{json, Value};
 
-// ------------------------------------------------------------ tiny client
+// ----------------------------------------------------------------- client
 
 struct Reply {
     status: u16,
-    headers: Vec<(String, String)>,
+    retry_after: Option<String>,
     body: Value,
 }
 
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
+/// One request through the crate's own client, `http::exchange`.
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: Option<&Value>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
     let body_text = body
         .map(|b| serde_json::to_string(b).expect("serialize"))
         .unwrap_or_default();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
-        body_text.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body_text.as_bytes()).expect("write body");
-    read_reply(&mut stream)
-}
-
-fn read_reply(stream: &mut TcpStream) -> Reply {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read reply");
-    let text = String::from_utf8(raw).expect("utf8 reply");
-    let (head, body) = text.split_once("\r\n\r\n").expect("reply head");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    let body = if body.is_empty() {
-        Value::Null
-    } else {
-        serde_json::from_str(body).unwrap_or(Value::String(body.to_string()))
-    };
+    let timeouts = PeerTimeouts::from_ms(120_000);
+    let reply = exchange(addr, method, path, body_text.as_bytes(), &timeouts, None).expect("exchange");
+    let text = String::from_utf8(reply.body().to_vec()).expect("utf8 reply");
     Reply {
-        status,
-        headers,
-        body,
+        status: reply.status,
+        retry_after: reply.header("retry-after").map(str::to_owned),
+        body: if text.is_empty() {
+            Value::Null
+        } else {
+            serde_json::from_str(&text).unwrap_or(Value::String(text))
+        },
     }
 }
 
@@ -326,7 +292,7 @@ fn tiny_queue_sheds_with_backoff_hints_and_retries_succeed() {
     assert!(!shed.is_empty(), "burst of 6 over capacity 2 must shed");
     assert!(!ok.is_empty(), "some of the burst is admitted");
     for r in &shed {
-        assert!(r.header("retry-after").is_some(), "shed carries Retry-After");
+        assert!(r.retry_after.is_some(), "shed carries Retry-After");
         assert!(
             r.body.get("retry_after_ms").and_then(Value::as_u64).is_some(),
             "shed carries a millisecond hint"
@@ -421,7 +387,7 @@ fn drain_cancels_in_flight_then_restart_resumes_byte_identically() {
         Some(&json!({ "csv": &csv_text, "ontology": &onto_text })),
     );
     assert_eq!(refused.status, 503);
-    assert!(refused.header("retry-after").is_some());
+    assert!(refused.retry_after.is_some());
 
     server.shutdown(Duration::from_secs(30));
 
@@ -478,7 +444,7 @@ fn breaker_opens_after_consecutive_panics_and_recovers() {
         open.body.get("error").and_then(Value::as_str),
         Some("circuit_open")
     );
-    assert!(open.header("retry-after").is_some());
+    assert!(open.retry_after.is_some());
 
     // Other endpoints are isolated: their breakers are untouched.
     let other = request(
@@ -676,4 +642,14 @@ fn timeout_budget_yields_incomplete_not_error() {
         Some("deadline_exceeded")
     );
     server.shutdown(Duration::from_secs(10));
+}
+
+#[test]
+fn idle_shutdown_returns_promptly_and_frees_the_port() {
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    let t = Instant::now();
+    server.shutdown(Duration::from_secs(30));
+    assert!(t.elapsed() < Duration::from_secs(1), "shutdown took {:?}", t.elapsed());
+    std::net::TcpListener::bind(addr).expect("the port can be bound again");
 }

@@ -14,10 +14,14 @@
 //!                  [--tau 0.65] [--beam B] [--out repaired.csv]
 //!                  [--onto-out repaired-onto.txt]
 //! fastofd serve    [--addr 127.0.0.1:8080] [--workers N] [--queue-cap N]
-//!                  [--budget-ms N] [--rss-high-water-mib N]
-//!                  [--breaker-failures N] [--breaker-cooldown-ms N]
-//!                  [--checkpoint-dir DIR]
+//!                  [--budget-ms N] [--checkpoint-dir DIR] [--peers LIST] ...
+//! fastofd serve    --router [--workers N] [--worker-threads N]
+//!                  [--peers LIST] [--probe-interval-ms N] ...
 //! ```
+//!
+//! Every command checks its flags against its own list and rejects the
+//! rest; the `serve` flags come from one table in `ofd-serve`
+//! (`SERVE_FLAGS`).
 //!
 //! `serve` also exposes the streaming endpoints `POST /v1/append` and
 //! `POST /v1/retract`: tuple inserts, deletes and consequent-cell updates
@@ -45,6 +49,10 @@ use fastofd::core::{
 use fastofd::datagen::{census, clinical, csv, demo_dataset, kiva, PresetConfig};
 use fastofd::discovery::{DiscoveryOptions, FastOfd};
 use fastofd::ontology::{parse_ontology, write_ontology, Ontology};
+use fastofd::serve::{
+    termination_flag, Router, RouterConfig, ServeArgs, Server, Supervisor, SupervisorConfig,
+    WorkerSpec, SERVE_FLAGS,
+};
 
 /// Exit code for a run that finished with a sound-but-partial
 /// (`INCOMPLETE`) result: everything printed/written is valid, but a
@@ -70,10 +78,52 @@ fn completion_code(complete: bool) -> ExitCode {
     }
 }
 
+/// Parsed `--flag value...` occurrences, by flag name.
+type Flags = HashMap<String, Vec<String>>;
+
+/// Execution limits shared by the engine commands.
+const GUARD_FLAGS: &[&str] = &["timeout-ms", "max-work", "max-rss-mib"];
+/// Observability outputs, shared by the engine commands and `serve`.
+const OBS_FLAGS: &[&str] = &["metrics-out", "trace"];
+/// Crash safety, shared by the engine commands.
+const CHECKPOINT_FLAGS: &[&str] = &["checkpoint-dir", "resume"];
+/// Seeded fault injection (testing only), shared by the engine commands.
+const FAULT_FLAGS: &[&str] = &["faults"];
+
+/// The flags `command` accepts, or `None` for an unknown command. `serve`
+/// takes the serve-flag table plus the observability flags.
+fn allowed_flags(command: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match command {
+        "generate" => &["preset", "rows", "err", "inc", "seed", "out", "onto-out"],
+        "discover" => &[
+            "data", "ontology", "kappa", "theta", "max-level", "threads", "partition-cache-mib",
+            "sample-rounds", "shard-rows", "shards", "out",
+        ],
+        "check" => &["data", "ontology", "ofd", "ofds-file", "theta", "explain"],
+        "clean" => &[
+            "data", "ontology", "ofd", "ofds-file", "theta", "tau", "beam", "out", "onto-out",
+            "report",
+        ],
+        "enforce" => &["data", "ontology", "kappa", "max-level", "tau", "out"],
+        "serve" => {
+            return Some(SERVE_FLAGS.iter().map(|f| f.name).chain(OBS_FLAGS.iter().copied()).collect())
+        }
+        "--help" | "-h" | "help" => &[],
+        _ => return None,
+    };
+    let mut allowed = own.to_vec();
+    if matches!(command, "discover" | "clean" | "enforce") {
+        for shared in [GUARD_FLAGS, OBS_FLAGS, CHECKPOINT_FLAGS, FAULT_FLAGS] {
+            allowed.extend_from_slice(shared);
+        }
+    }
+    Some(allowed)
+}
+
 fn run() -> Result<ExitCode, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or_else(usage)?;
-    let mut flags: HashMap<String, Vec<String>> = HashMap::new();
+    let mut flags: Flags = HashMap::new();
     let mut current: Option<String> = None;
     for arg in args {
         if let Some(name) = arg.strip_prefix("--") {
@@ -85,6 +135,18 @@ fn run() -> Result<ExitCode, String> {
         } else {
             return Err(format!("unexpected positional argument {arg:?}"));
         }
+    }
+    let allowed = allowed_flags(&command)
+        .ok_or_else(|| format!("unknown command {command:?}\n{}", usage()))?;
+    let mut unknown: Vec<&String> = flags
+        .keys()
+        .filter(|name| !allowed.contains(&name.as_str()))
+        .collect();
+    unknown.sort();
+    if let Some(name) = unknown.first() {
+        return Err(format!(
+            "unknown flag --{name} for `fastofd {command}` (see `fastofd help`)"
+        ));
     }
     let single = |name: &str| -> Option<&str> {
         flags.get(name).and_then(|v| v.first()).map(String::as_str)
@@ -377,221 +439,132 @@ fn run() -> Result<ExitCode, String> {
             emit_obs(&obs, &flags)?;
             Ok(completion_code(result.clean.complete))
         }
-        "serve" if flags.contains_key("router") => {
-            // Router mode: this process runs no engines. It spawns and
-            // supervises `--workers N` single-server worker processes
-            // (each `fastofd serve` on an OS-assigned port, re-execed
-            // from this binary), consistent-hash routes requests by
-            // dataset fingerprint, fails over to the next replica on
-            // connect/5xx errors, and respawns crashed workers behind a
-            // restart-storm breaker. Give the fleet a shared
-            // `--checkpoint-dir` so any replica can adopt a dead
-            // sibling's checkpoints and the dataset catalog is
-            // fleet-wide.
-            let workers: usize = match single("workers") {
-                Some(n) => n.parse().map_err(|_| "--workers expects an integer")?,
-                None => 2,
-            };
-            let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-            let mut worker_args: Vec<String> =
-                vec!["serve".into(), "--addr".into(), "127.0.0.1:0".into()];
-            // Workers inherit every serve flag that shapes job execution;
-            // `--workers` is the *process* count here, so per-process
-            // thread count travels as `--worker-threads`.
-            for flag in [
-                "queue-cap",
-                "budget-ms",
-                "max-body-mib",
-                "rss-high-water-mib",
-                "breaker-failures",
-                "breaker-cooldown-ms",
-                "retry-after-ms",
-                "checkpoint-dir",
-                "faults",
-                "head-timeout-ms",
-                "peer-timeout-ms",
-                // Local workers learn the remote hosts too, so their
-                // catalog read-repair and checkpoint shipping can reach
-                // across the fleet.
-                "peers",
-            ] {
-                if let Some(v) = single(flag) {
-                    worker_args.push(format!("--{flag}"));
-                    worker_args.push(v.to_owned());
-                }
-            }
-            if let Some(n) = single("worker-threads") {
-                worker_args.push("--workers".into());
-                worker_args.push(n.to_owned());
-            }
-            let remote = match single("peers") {
-                Some(spec) => fastofd::serve::parse_peer_list(spec)
-                    .map_err(|e| format!("--peers: {e}"))?,
-                None => Vec::new(),
-            };
-            let n_remote = remote.len();
-            let obs_handle = Obs::enabled();
-            let supervisor = fastofd::serve::Supervisor::start(fastofd::serve::SupervisorConfig {
-                workers,
-                remote,
-                obs: obs_handle.clone(),
-                ..fastofd::serve::SupervisorConfig::new(fastofd::serve::WorkerSpec {
-                    program: exe,
-                    args: worker_args,
-                })
-            })
-            .map_err(|e| format!("supervisor: {e}"))?;
-            let mut router_cfg = fastofd::serve::RouterConfig {
-                addr: single("addr").unwrap_or("127.0.0.1:0").to_owned(),
-                catalog_dir: single("checkpoint-dir")
-                    .map(|d| std::path::PathBuf::from(d).join("catalog")),
-                obs: obs_handle.clone(),
-                ..fastofd::serve::RouterConfig::default()
-            };
-            if let Some(ms) = single("probe-interval-ms") {
-                router_cfg.probe_interval_ms =
-                    ms.parse().map_err(|_| "--probe-interval-ms expects an integer")?;
-            }
-            if let Some(ms) = single("head-timeout-ms") {
-                router_cfg.head_timeout_ms =
-                    ms.parse().map_err(|_| "--head-timeout-ms expects an integer")?;
-            }
-            if let Some(ms) = single("peer-timeout-ms") {
-                router_cfg.peer_timeout_ms =
-                    ms.parse().map_err(|_| "--peer-timeout-ms expects an integer")?;
-            }
-            let router = fastofd::serve::Router::bind(
-                router_cfg,
-                fastofd::serve::Fleet::Supervised(supervisor),
-            )
-            .map_err(|e| format!("router bind: {e}"))?;
-            println!(
-                "listening on {} (router, workers={workers}, peers={n_remote})",
-                router.addr()
-            );
-            {
-                use std::io::Write;
-                let _ = std::io::stdout().flush();
-            }
-            let term = fastofd::serve::termination_flag();
-            while !term.load(std::sync::atomic::Ordering::SeqCst) && !router.drain_requested() {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            eprintln!("router stopping: drained workers will not be respawned");
-            router.shutdown();
-            emit_obs(&obs_handle, &flags)?;
-            Ok(ExitCode::SUCCESS)
-        }
         "serve" => {
-            // Long-running resilient service over the same engines; see
-            // the README "Serving" section for endpoint and shedding
-            // semantics. Drains gracefully on SIGTERM/SIGINT or
-            // `POST /admin/drain`, checkpointing in-flight jobs under
-            // `--checkpoint-dir` for byte-identical resume after restart.
-            let mut cfg = fastofd::serve::ServeConfig {
-                faults: faults.clone(),
-                ..fastofd::serve::ServeConfig::default()
-            };
-            if let Some(addr) = single("addr") {
-                cfg.addr = addr.to_owned();
+            // Every serve flag is parsed by the one table in `ofd-serve`
+            // (`SERVE_FLAGS`), which also names the flags a router hands
+            // on to its workers.
+            let mut args = ServeArgs::parse(
+                flags
+                    .iter()
+                    .filter(|(name, _)| !OBS_FLAGS.contains(&name.as_str()))
+                    .map(|(name, values)| (name.as_str(), values.first().map(String::as_str))),
+            )?;
+            // `--faults` or FASTOFD_FAULTS, parsed above.
+            args.serve.faults = faults;
+            if args.router_mode {
+                serve_router(args, &flags)
+            } else {
+                serve_single(args, &flags)
             }
-            if let Some(n) = single("workers") {
-                cfg.workers = n.parse().map_err(|_| "--workers expects an integer")?;
-            }
-            if let Some(n) = single("queue-cap") {
-                cfg.queue_cap = n.parse().map_err(|_| "--queue-cap expects an integer")?;
-            }
-            if let Some(ms) = single("budget-ms") {
-                cfg.budget_ms = ms.parse().map_err(|_| "--budget-ms expects an integer")?;
-            }
-            if let Some(mib) = single("max-body-mib") {
-                let mib: usize = mib.parse().map_err(|_| "--max-body-mib expects an integer")?;
-                cfg.max_body_bytes = mib * 1024 * 1024;
-            }
-            if let Some(mib) = single("rss-high-water-mib") {
-                cfg.rss_high_water_mib =
-                    Some(mib.parse().map_err(|_| "--rss-high-water-mib expects an integer")?);
-            }
-            if let Some(n) = single("breaker-failures") {
-                cfg.breaker_threshold =
-                    n.parse().map_err(|_| "--breaker-failures expects an integer")?;
-            }
-            if let Some(ms) = single("breaker-cooldown-ms") {
-                cfg.breaker_cooldown_ms =
-                    ms.parse().map_err(|_| "--breaker-cooldown-ms expects an integer")?;
-            }
-            if let Some(ms) = single("retry-after-ms") {
-                cfg.retry_after_ms =
-                    ms.parse().map_err(|_| "--retry-after-ms expects an integer")?;
-            }
-            if let Some(ms) = single("head-timeout-ms") {
-                cfg.head_timeout_ms =
-                    ms.parse().map_err(|_| "--head-timeout-ms expects an integer")?;
-            }
-            if let Some(ms) = single("peer-timeout-ms") {
-                cfg.peer_timeout_ms =
-                    ms.parse().map_err(|_| "--peer-timeout-ms expects an integer")?;
-            }
-            cfg.checkpoint_dir = single("checkpoint-dir").map(std::path::PathBuf::from);
-            if let Some(spec) = single("peers") {
-                cfg.peers = fastofd::serve::parse_peer_list(spec)
-                    .map_err(|e| format!("--peers: {e}"))?;
-            }
-
-            let server = fastofd::serve::Server::bind(cfg).map_err(|e| format!("bind: {e}"))?;
-            let obs_handle = server.obs().clone();
-            println!(
-                "listening on {} (workers={}, queue={})",
-                server.addr(),
-                single("workers").unwrap_or("2"),
-                single("queue-cap").unwrap_or("64"),
-            );
-            {
-                use std::io::Write;
-                let _ = std::io::stdout().flush();
-            }
-            let term = fastofd::serve::termination_flag();
-            while !term.load(std::sync::atomic::Ordering::SeqCst) && !server.drain_requested() {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-            eprintln!("draining: admission closed, cancelling in-flight jobs to checkpoints");
-            let summary = server.shutdown(std::time::Duration::from_secs(30));
-            eprintln!(
-                "drained: admitted={} shed={} breaker_open={} drained={} resumed={}",
-                summary.admitted,
-                summary.shed,
-                summary.breaker_open,
-                summary.drained,
-                summary.resumed
-            );
-            emit_obs(&obs_handle, &flags)?;
-            Ok(ExitCode::SUCCESS)
         }
         "--help" | "-h" | "help" => {
             eprintln!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+        _ => unreachable!("allowed_flags vetted the command"),
+    }
+}
+
+/// Long-running resilient service over the same engines; see the README
+/// "Serving" section for endpoint and shedding semantics. Drains
+/// gracefully on SIGTERM/SIGINT or `POST /admin/drain`, checkpointing
+/// in-flight jobs under `--checkpoint-dir` for byte-identical resume
+/// after restart.
+fn serve_single(args: ServeArgs, flags: &Flags) -> Result<ExitCode, String> {
+    let (workers, queue_cap) = (args.serve.workers, args.serve.queue_cap);
+    let server = Server::bind(args.serve).map_err(|e| format!("bind: {e}"))?;
+    let obs_handle = server.obs().clone();
+    announce(&format!("listening on {} (workers={workers}, queue={queue_cap})", server.addr()));
+    wait_for_stop(|| server.drain_requested());
+    eprintln!("draining: admission closed, cancelling in-flight jobs to checkpoints");
+    let summary = server.shutdown(std::time::Duration::from_secs(30));
+    eprintln!(
+        "drained: admitted={} shed={} breaker_open={} drained={} resumed={}",
+        summary.admitted, summary.shed, summary.breaker_open, summary.drained, summary.resumed
+    );
+    emit_obs(&obs_handle, flags)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Router mode: this process runs no engines. It supervises
+/// `--workers N` single-server worker processes (each `fastofd serve` on
+/// an OS-assigned port, re-execed from this binary) and puts any
+/// `--peers` hosts after them on one consistent-hash ring, routes
+/// requests by dataset fingerprint, fails over to the next member on
+/// connect/5xx errors, and respawns crashed workers behind a
+/// restart-storm breaker.
+fn serve_router(args: ServeArgs, flags: &Flags) -> Result<ExitCode, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let obs_handle = Obs::enabled();
+    let mut worker_args = vec!["serve".to_owned()];
+    worker_args.extend(args.worker_args);
+    let supervisor = Supervisor::start(SupervisorConfig {
+        workers: args.processes,
+        obs: obs_handle.clone(),
+        ..SupervisorConfig::new(WorkerSpec {
+            program: exe,
+            args: worker_args,
+        })
+    })
+    .map_err(|e| format!("supervisor: {e}"))?;
+    let n_peers = args.serve.peers.len();
+    let router = Router::bind(
+        RouterConfig {
+            obs: obs_handle.clone(),
+            ..args.router
+        },
+        Some(supervisor),
+        args.serve.peers,
+    )
+    .map_err(|e| format!("router bind: {e}"))?;
+    announce(&format!(
+        "listening on {} (router, workers={}, peers={n_peers})",
+        router.addr(),
+        args.processes
+    ));
+    wait_for_stop(|| router.drain_requested());
+    eprintln!("router stopping: drained workers will not be respawned");
+    router.shutdown();
+    emit_obs(&obs_handle, flags)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Prints the `listening on ADDR ...` banner supervisors and scripts
+/// scrape, flushed so a piped stdout delivers it at once.
+fn announce(banner: &str) {
+    use std::io::Write;
+    println!("{banner}");
+    let _ = std::io::stdout().flush();
+}
+
+/// Blocks until SIGTERM/SIGINT or until `drain_requested` turns true.
+fn wait_for_stop(drain_requested: impl Fn() -> bool) {
+    let term = termination_flag();
+    while !term.load(std::sync::atomic::Ordering::SeqCst) && !drain_requested() {
+        std::thread::sleep(std::time::Duration::from_millis(50));
     }
 }
 
 fn usage() -> String {
     "usage: fastofd <generate|discover|check|clean|enforce|serve> [--flags...]\n\
      serving: fastofd serve [--addr A] [--workers N] [--queue-cap N] [--budget-ms N]\n\
-              [--rss-high-water-mib N] [--breaker-failures N] [--breaker-cooldown-ms N]\n\
-              [--checkpoint-dir DIR] [--head-timeout-ms N] [--peer-timeout-ms N]\n\
+              [--max-body-mib N] [--rss-high-water-mib N] [--breaker-failures N]\n\
+              [--breaker-cooldown-ms N] [--retry-after-ms N] [--checkpoint-dir DIR]\n\
+              [--head-timeout-ms N] [--peer-timeout-ms N] [--peers HOST:PORT,..]\n\
+              [--faults SPEC] [--metrics-out PATH] [--trace]\n\
               — graceful drain on SIGTERM or POST /admin/drain\n\
      streaming: POST /v1/append {csv, ontology, ofds|kappa, rows:[[cells]], updates:[{row,\n\
               attr, value[, old]}]} and POST /v1/retract {.., rows:[idx]} maintain a live\n\
               session incrementally (delta partitions, no re-validation of untouched\n\
               classes); sessions persist under --checkpoint-dir and survive restarts;\n\
               stale \"old\" guards and out-of-range rows answer 409\n\
-     fleet: fastofd serve --router [--workers N] [--worker-threads N] [--checkpoint-dir DIR]\n\
-            [--peers HOST:PORT,..] [--probe-interval-ms N] — supervised worker processes\n\
-            plus fixed remote workers, consistent-hash routing by dataset fingerprint,\n\
-            failover + respawn; probe-driven ring ejection/readmission for remote peers;\n\
-            share --checkpoint-dir for checkpoint adoption + catalog, or give workers\n\
-            --peers so quorum catalog writes and checkpoint shipping cross filesystems\n\
+     fleet: fastofd serve --router [--workers N] [--worker-threads N] [--probe-interval-ms N]\n\
+            [--peers HOST:PORT,..] plus any serve flag, which is forwarded to every worker —\n\
+            one consistent-hash ring whose members are the supervised worker processes, then\n\
+            the --peers hosts; routing by dataset fingerprint, failover, respawn of local\n\
+            workers, probe-driven ring ejection/readmission; share --checkpoint-dir for\n\
+            checkpoint adoption + catalog, or give workers --peers so quorum catalog writes and\n\
+            checkpoint shipping cross filesystems\n\
      exit codes: 0 complete, 1 error, 3 sound-but-INCOMPLETE partial result\n\
      execution limits (discover/clean/enforce): --timeout-ms N --max-work N --max-rss-mib N\n\
      observability (discover/clean/enforce): --metrics-out metrics.json --trace\n\
@@ -604,6 +577,7 @@ fn usage() -> String {
      fault injection (testing only): --faults \"seed=N,snapshot-io%P,panic@N\" or FASTOFD_FAULTS;\n\
               network sites: net-delay net-reset net-partial net-blackhole net-refuse\n\
               (+ delay-ms=N), realised by the in-process chaos proxy (serve_probe --chaos-net)\n\
+     every command rejects flags it does not take\n\
      see the module docs (`cargo doc`) or README.md for details"
         .to_owned()
 }
@@ -611,7 +585,7 @@ fn usage() -> String {
 /// Parses the seeded fault-injection plan from `--faults SPEC`, falling
 /// back to the `FASTOFD_FAULTS` environment variable. Inert unless set;
 /// meant for the chaos harness and crash-safety tests.
-fn faults_from_flags(flags: &HashMap<String, Vec<String>>) -> Result<FaultPlan, String> {
+fn faults_from_flags(flags: &Flags) -> Result<FaultPlan, String> {
     let spec = flags
         .get("faults")
         .and_then(|v| v.first())
@@ -629,7 +603,7 @@ fn faults_from_flags(flags: &HashMap<String, Vec<String>>) -> Result<FaultPlan, 
 /// Snapshot-write faults from the active fault plan are installed on the
 /// store so injected I/O errors and torn writes hit the real write path.
 fn checkpoint_from_flags(
-    flags: &HashMap<String, Vec<String>>,
+    flags: &Flags,
     faults: &FaultPlan,
 ) -> Result<Option<CheckpointOptions>, String> {
     let Some(dir) = flags.get("checkpoint-dir").and_then(|v| v.first()) else {
@@ -650,7 +624,7 @@ fn checkpoint_from_flags(
 
 /// Builds the run's [`Obs`] handle: enabled when `--metrics-out` or
 /// `--trace` is present, disabled (all no-ops) otherwise.
-fn obs_from_flags(flags: &HashMap<String, Vec<String>>) -> Obs {
+fn obs_from_flags(flags: &Flags) -> Obs {
     if flags.contains_key("metrics-out") || flags.contains_key("trace") {
         Obs::enabled()
     } else {
@@ -660,7 +634,7 @@ fn obs_from_flags(flags: &HashMap<String, Vec<String>>) -> Obs {
 
 /// Writes the metrics snapshot to `--metrics-out` (pretty JSON) and prints
 /// the span tree to stderr under `--trace`.
-fn emit_obs(obs: &Obs, flags: &HashMap<String, Vec<String>>) -> Result<(), String> {
+fn emit_obs(obs: &Obs, flags: &Flags) -> Result<(), String> {
     if !obs.is_enabled() {
         return Ok(());
     }
@@ -678,7 +652,7 @@ fn emit_obs(obs: &Obs, flags: &HashMap<String, Vec<String>>) -> Result<(), Strin
 
 /// Builds the run's [`ExecGuard`] from `--timeout-ms`, `--max-work` and
 /// `--max-rss-mib`; unlimited when none are given.
-fn guard_from_flags(flags: &HashMap<String, Vec<String>>) -> Result<ExecGuard, String> {
+fn guard_from_flags(flags: &Flags) -> Result<ExecGuard, String> {
     let single =
         |name: &str| -> Option<&str> { flags.get(name).and_then(|v| v.first()).map(String::as_str) };
     let mut cfg = GuardConfig::default();
@@ -726,7 +700,7 @@ fn sigma_to_text<'a>(schema: &Schema, ofds: impl Iterator<Item = &'a Ofd>) -> St
 /// Parses every `--ofd "A,B->C"` occurrence plus any `--ofds-file` files;
 /// `--theta N` switches all of them to inheritance semantics.
 fn parse_ofds(
-    flags: &HashMap<String, Vec<String>>,
+    flags: &Flags,
     schema: &Schema,
 ) -> Result<Vec<Ofd>, String> {
     let theta: Option<usize> = match flags.get("theta").and_then(|v| v.first()) {

@@ -207,3 +207,19 @@ fn bad_usage_fails_cleanly() {
         .expect("unknown command");
     assert!(!out.status.success());
 }
+
+/// Each subcommand accepts only its own flags: a misspelt or misplaced
+/// flag is a usage error naming the flag, never silently ignored.
+#[test]
+fn unknown_flags_are_rejected_per_subcommand() {
+    for (args, bad) in [
+        (&["generate", "--dataset", "clinical"][..], "--dataset"),
+        (&["serve", "--queue-capp", "4"][..], "--queue-capp"),
+        (&["check", "--data", "d.csv", "--tau", "0.5"][..], "--tau"),
+    ] {
+        let out = bin().args(args).output().expect("run with a bad flag");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(bad), "{args:?}: {stderr}");
+    }
+}

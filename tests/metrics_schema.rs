@@ -143,13 +143,22 @@ fn metrics_json_matches_schema_v1() {
     }
 }
 
+/// One `GET /metrics` through the service layer's own client; the scrape
+/// must succeed.
+fn scrape(addr: std::net::SocketAddr) -> String {
+    let timeouts = fastofd::serve::PeerTimeouts::from_ms(30_000);
+    let reply = fastofd::serve::exchange(addr, "GET", "/metrics", b"", &timeouts, None)
+        .expect("scrape");
+    assert_eq!(reply.status, 200, "scrape must succeed");
+    String::from_utf8(reply.body().to_vec()).expect("utf8 reply")
+}
+
 /// A live `/metrics` scrape is a schema-v1 document, and the service-layer
 /// counters are present by name from the moment the server binds — a
 /// dashboard pointed at a fresh instance sees zeros, never absent series.
 #[test]
 fn serve_metrics_endpoint_matches_schema_v1_with_serve_counters_pinned() {
     use fastofd::serve::{ServeConfig, Server, SERVE_COUNTERS, STREAM_COUNTERS};
-    use std::io::{Read, Write};
 
     let server = Server::bind(ServeConfig {
         workers: 1,
@@ -157,23 +166,7 @@ fn serve_metrics_endpoint_matches_schema_v1_with_serve_counters_pinned() {
     })
     .expect("bind serve on an ephemeral port");
 
-    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .expect("read timeout");
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nhost: test\r\ncontent-length: 0\r\n\r\n")
-        .expect("send scrape");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read scrape reply");
-    let text = String::from_utf8(raw).expect("utf8 reply");
-    let (head, body) = text.split_once("\r\n\r\n").expect("reply head");
-    assert!(
-        head.starts_with("HTTP/1.1 200"),
-        "scrape must succeed, got head: {head}"
-    );
-
-    let v = validate_schema_v1(body);
+    let v = validate_schema_v1(&scrape(server.addr()));
     let names = counter_names(&v);
     // The full pinned surface, via the crate's own constant so the server
     // and this test cannot drift apart...
@@ -239,26 +232,12 @@ fn serve_metrics_endpoint_matches_schema_v1_with_serve_counters_pinned() {
 /// even with zero workers behind it.
 #[test]
 fn router_metrics_endpoint_matches_schema_v1_with_router_counters_pinned() {
-    use fastofd::serve::{Fleet, Router, RouterConfig, NET_COUNTERS, ROUTER_COUNTERS};
-    use std::io::{Read, Write};
+    use fastofd::serve::{Router, RouterConfig, NET_COUNTERS, ROUTER_COUNTERS};
 
-    let router = Router::bind(RouterConfig::default(), Fleet::Static(Vec::new()))
+    let router = Router::bind(RouterConfig::default(), None, Vec::new())
         .expect("bind router on an ephemeral port");
 
-    let mut stream = std::net::TcpStream::connect(router.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .expect("read timeout");
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nhost: test\r\ncontent-length: 0\r\n\r\n")
-        .expect("send scrape");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read scrape reply");
-    let text = String::from_utf8(raw).expect("utf8 reply");
-    let (head, body) = text.split_once("\r\n\r\n").expect("reply head");
-    assert!(head.starts_with("HTTP/1.1 200"), "scrape must succeed, got head: {head}");
-
-    let v = validate_schema_v1(body);
+    let v = validate_schema_v1(&scrape(router.addr()));
     let names = counter_names(&v);
     for name in ROUTER_COUNTERS {
         assert!(names.iter().any(|n| n == name), "router counter {name} missing");
