@@ -7,7 +7,8 @@
 //!   ([`AttrSet`]);
 //! * column-major [`Relation`] instances with cell-level repair support;
 //! * partitions Π_X and stripped partitions Π*_X with linear-time products
-//!   ([`StrippedPartition`]);
+//!   ([`StrippedPartition`]), and the prefix-block join that generates each
+//!   lattice level ([`prefix_block_pairs`]);
 //! * FDs and OFDs ([`Fd`], [`Ofd`]) and their verification over equivalence
 //!   classes ([`Validator`]), including approximate support for
 //!   κ-approximate discovery;
@@ -36,6 +37,7 @@ pub mod fxhash;
 pub mod guard;
 pub mod snapshot;
 pub mod incremental;
+mod lattice;
 pub mod lhs_synonyms;
 pub mod nfd_check;
 pub mod obs;
@@ -63,6 +65,7 @@ pub use nfd_check::NfdChecker;
 pub use lhs_synonyms::{check_lhs_synonyms, InterpretationOutcome, LhsSynonymValidation};
 pub use ofd::{Fd, Ofd, OfdKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use lattice::prefix_block_pairs;
 pub use partition::{Classes, Partition, ProductScratch, StrippedPartition};
 pub use relation::{table1, table1_updated, Relation, RelationBuilder, MAX_ROWS};
 pub use schema::{AttrId, AttrSet, AttrSetIter, Schema, MAX_ATTRS};

@@ -22,6 +22,8 @@
 //! orders groups by representative — a counting-sort scatter in row order
 //! therefore emits canonical CSR without any final sort.
 
+use std::ops::Range;
+
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
 use crate::schema::{AttrId, AttrSet};
@@ -93,48 +95,40 @@ pub struct Partition {
 impl Partition {
     /// Computes Π_X for `attrs` over `rel`.
     pub fn of(rel: &Relation, attrs: AttrSet) -> Partition {
+        Partition::of_range(rel, attrs, 0..rel.n_rows())
+    }
+
+    /// Computes Π_X over the contiguous tuple range `rows`, clamped to the
+    /// relation. Tuple ids stay global and `n_rows` is the full relation
+    /// size, so range partitions compose with full ones.
+    fn of_range(rel: &Relation, attrs: AttrSet, rows: Range<usize>) -> Partition {
         let n = rel.n_rows();
-        let attr_list: Vec<AttrId> = attrs.iter().collect();
-        let (tuples, offsets) = match attr_list.as_slice() {
-            [] => {
-                if n == 0 {
-                    (Vec::new(), vec![0])
-                } else {
-                    ((0..n as u32).collect(), vec![0, n as u32])
-                }
+        let start = rows.start.min(n);
+        let rows = start..rows.end.clamp(start, n);
+        // Two-pass refinement instead of Vec-keyed hashing: every row starts
+        // in the one group of Π_∅, then group ids are refined attribute by
+        // attribute — one (u32, ValueId) key per row per attribute, no
+        // per-row Vec allocation. Group ids are assigned densely in
+        // first-occurrence order; positions are range-relative.
+        let mut group_of = vec![0u32; rows.len()];
+        let mut n_groups = usize::from(!rows.is_empty());
+        for a in attrs.iter() {
+            let col = &rel.column(a)[rows.clone()];
+            let mut ids: FxHashMap<(u32, ValueId), u32> = FxHashMap::default();
+            for (g, v) in group_of.iter_mut().zip(col) {
+                let next = ids.len() as u32;
+                *g = *ids.entry((*g, *v)).or_insert(next);
             }
-            many => {
-                // Two-pass refinement instead of Vec-keyed hashing: group
-                // by the first attribute, then refine group ids attribute
-                // by attribute — one (u32, ValueId) key per row per
-                // attribute, no per-row Vec allocation. Group ids are
-                // assigned densely in first-occurrence order.
-                let mut n_groups;
-                let mut group_of: Vec<u32> = {
-                    let mut ids: FxHashMap<ValueId, u32> = FxHashMap::default();
-                    let col = rel.column(many[0]);
-                    let out = col
-                        .iter()
-                        .map(|v| {
-                            let next = ids.len() as u32;
-                            *ids.entry(*v).or_insert(next)
-                        })
-                        .collect();
-                    n_groups = ids.len();
-                    out
-                };
-                for a in &many[1..] {
-                    let col = rel.column(*a);
-                    let mut ids: FxHashMap<(u32, ValueId), u32> = FxHashMap::default();
-                    for t in 0..n {
-                        let next = ids.len() as u32;
-                        group_of[t] = *ids.entry((group_of[t], col[t])).or_insert(next);
-                    }
-                    n_groups = ids.len();
-                }
-                csr_from_group_ids(&group_of, n_groups)
+            n_groups = ids.len();
+        }
+        let (mut tuples, offsets) = csr_from_group_ids(&group_of, n_groups);
+        // Back to global tuple ids; ascending order within classes and the
+        // representative ordering across classes survive the uniform shift.
+        if rows.start > 0 {
+            for t in &mut tuples {
+                *t += rows.start as u32;
             }
-        };
+        }
         Partition {
             tuples,
             offsets,
@@ -267,63 +261,8 @@ impl StrippedPartition {
     /// [`StrippedPartition::product_with_scratch`] exactly like full ones
     /// (out-of-range tuples behave as stripped singletons). `n_rows` remains
     /// the full relation size; the range is clamped to it.
-    pub fn of_range(
-        rel: &Relation,
-        attrs: AttrSet,
-        rows: std::ops::Range<usize>,
-    ) -> StrippedPartition {
-        let n = rel.n_rows();
-        let rows = rows.start.min(n)..rows.end.min(n);
-        let len = rows.end.saturating_sub(rows.start);
-        let attr_list: Vec<AttrId> = attrs.iter().collect();
-        if attr_list.is_empty() {
-            // Π*_∅ over the range: one class holding every in-range tuple.
-            if len < 2 {
-                return StrippedPartition::empty(n);
-            }
-            return StrippedPartition {
-                tuples: (rows.start as u32..rows.end as u32).collect(),
-                offsets: vec![0, len as u32],
-                n_rows: n,
-            };
-        }
-        // Same dense group-id refinement as `Partition::of`, over the range
-        // only; positions are range-relative until the final offset shift.
-        let mut n_groups;
-        let mut group_of: Vec<u32> = {
-            let mut ids: FxHashMap<ValueId, u32> = FxHashMap::default();
-            let col = rel.column(attr_list[0]);
-            let out = col[rows.clone()]
-                .iter()
-                .map(|v| {
-                    let next = ids.len() as u32;
-                    *ids.entry(*v).or_insert(next)
-                })
-                .collect();
-            n_groups = ids.len();
-            out
-        };
-        for a in &attr_list[1..] {
-            let col = rel.column(*a);
-            let mut ids: FxHashMap<(u32, ValueId), u32> = FxHashMap::default();
-            for (t, g) in group_of.iter_mut().enumerate() {
-                let next = ids.len() as u32;
-                *g = *ids.entry((*g, col[rows.start + t])).or_insert(next);
-            }
-            n_groups = ids.len();
-        }
-        let (mut tuples, offsets) = csr_from_group_ids(&group_of, n_groups);
-        // Back to global tuple ids; ascending order within classes and the
-        // representative ordering across classes survive the uniform shift.
-        for t in &mut tuples {
-            *t += rows.start as u32;
-        }
-        Partition {
-            tuples,
-            offsets,
-            n_rows: n,
-        }
-        .into_stripped()
+    pub fn of_range(rel: &Relation, attrs: AttrSet, rows: Range<usize>) -> StrippedPartition {
+        Partition::of_range(rel, attrs, rows).into_stripped()
     }
 
     /// Builds Π* from explicit classes (used by lhs-synonym merging, which

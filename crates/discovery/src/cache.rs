@@ -6,7 +6,7 @@
 //! partition from the **cheapest available operand pair** — the two cached
 //! parents with the smallest `‖Π*‖`, one cached parent times its missing
 //! pinned level-1 attribute partition, or (when nothing usable is resident)
-//! directly from the relation. Because partitions are canonical by
+//! directly from the relation, over the run's row range. Because partitions are canonical by
 //! construction, every route yields byte-identical CSR arrays, so cache
 //! configuration can never change Σ.
 //!
@@ -18,6 +18,7 @@
 //! keep evicted partitions alive until their borrowers finish, so eviction
 //! is always safe mid-level.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ofd_core::{AttrSet, FxHashMap, Obs, ProductScratch, Relation, StrippedPartition};
@@ -55,16 +56,19 @@ pub(crate) struct PartitionCache {
     resident_bytes: u64,
     clock: u64,
     stats: CacheStats,
+    /// The run's tuples, scanned by the direct-computation fallback.
+    rows: Range<usize>,
 }
 
 impl PartitionCache {
-    pub(crate) fn new(budget_mib: usize) -> PartitionCache {
+    pub(crate) fn new(budget_mib: usize, rows: Range<usize>) -> PartitionCache {
         PartitionCache {
             entries: FxHashMap::default(),
             budget_bytes: (budget_mib as u64) << 20,
             resident_bytes: 0,
             clock: 0,
             stats: CacheStats::default(),
+            rows,
         }
     }
 
@@ -161,7 +165,7 @@ impl PartitionCache {
         scratch: &mut ProductScratch,
     ) -> StrippedPartition {
         if attrs.len() < 2 {
-            return StrippedPartition::of(rel, attrs);
+            return StrippedPartition::of_range(rel, attrs, self.rows.clone());
         }
         // Resident parents, cheapest first.
         let mut parents: Vec<(usize, AttrSet, u64)> = attrs
@@ -174,7 +178,7 @@ impl PartitionCache {
         parents.sort_unstable_by_key(|&(cost, _, _)| cost);
         let (left_bits, right_bits) = match parents.as_slice() {
             [] => {
-                return StrippedPartition::of(rel, attrs);
+                return StrippedPartition::of_range(rel, attrs, self.rows.clone());
             }
             [(_, missing, p_bits), rest @ ..] => {
                 // Partner: next-cheapest parent vs the pinned level-1
@@ -187,7 +191,7 @@ impl PartitionCache {
                     (Some(&(_, _, p2)), _) => (*p_bits, p2),
                     (None, Some(_)) => (*p_bits, attr_bits),
                     (None, None) => {
-                        return StrippedPartition::of(rel, attrs);
+                        return StrippedPartition::of_range(rel, attrs, self.rows.clone());
                     }
                 }
             }
@@ -253,7 +257,7 @@ mod tests {
     #[test]
     fn produce_hits_after_insert_and_matches_direct() {
         let rel = table1();
-        let mut cache = PartitionCache::new(64);
+        let mut cache = PartitionCache::new(64, 0..rel.n_rows());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let x = attr_set(&rel, &["CC", "SYMP"]);
@@ -270,7 +274,7 @@ mod tests {
         // Whatever operands the cache picks, canonical CSR makes the result
         // equal the direct computation — over all 2- and 3-subsets.
         let rel = table1();
-        let mut cache = PartitionCache::new(64);
+        let mut cache = PartitionCache::new(64, 0..rel.n_rows());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let attrs: Vec<AttrId> = rel.schema().attrs().collect();
@@ -294,7 +298,7 @@ mod tests {
     fn eviction_respects_budget_and_pins() {
         let rel = table1();
         // A zero-MiB budget: nothing unpinned survives, pins stay.
-        let mut cache = PartitionCache::new(0);
+        let mut cache = PartitionCache::new(0, 0..rel.n_rows());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let pinned_bytes = cache.stats().resident_bytes;
@@ -312,7 +316,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let rel = table1();
-        let mut cache = PartitionCache::new(64);
+        let mut cache = PartitionCache::new(64, 0..rel.n_rows());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let x = attr_set(&rel, &["CC", "SYMP"]);

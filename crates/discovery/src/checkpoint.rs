@@ -5,10 +5,10 @@
 //! candidate sets, per-level stats and guard/obs accumulators — into a
 //! snapshot (see [`ofd_core::snapshot`] for the envelope and crash
 //! model). A resumed run restores Σ and the frontier, rebuilds the
-//! frontier's stripped partitions directly from the relation
-//! ([`StrippedPartition::of`] is semantically equal to the
-//! product-computed partition, so every later decision is unchanged),
-//! and continues at `completed_level + 1`.
+//! frontier nodes the way the level loop builds them (unresolved with the
+//! partition cache on, scanned from the relation without it; partitions
+//! are canonical however produced, so every later decision is
+//! unchanged), and continues at `completed_level + 1`.
 //!
 //! Snapshots embed a fingerprint of everything that determines the
 //! result: relation contents, ontology, and the result-affecting options

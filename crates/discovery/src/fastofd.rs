@@ -13,12 +13,14 @@
 //! complexity analysis.
 
 use ofd_core::FxHashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ofd_core::{
-    check_ofd_exact, check_ofd_with_index, support_threshold, AttrId, AttrSet, EvidenceSet, Ofd,
-    OfdKind, ProductScratch, Relation, Schema, SenseIndex, StrippedPartition,
+    check_ofd_exact, check_ofd_with_index, prefix_block_pairs, support_threshold, AttrId,
+    AttrSet, EvidenceSet, Ofd, OfdKind, ProductScratch, Relation, Schema, SenseIndex,
+    StrippedPartition,
 };
 use ofd_logic::{implies, Dependency};
 use ofd_ontology::Ontology;
@@ -26,8 +28,9 @@ use ofd_ontology::Ontology;
 use crate::cache::PartitionCache;
 use crate::checkpoint;
 use crate::options::DiscoveryOptions;
+use crate::pool;
 use crate::sample;
-use crate::shard::{self, ShardCovers, ShardPlan};
+use crate::shard::{self, ShardCovers};
 use crate::stats::{DiscoveryStats, LevelStats};
 
 /// One minimal OFD emitted by discovery.
@@ -115,12 +118,13 @@ struct Node {
     /// Candidate consequents `C⁺(X)`; `schema.all()` when Opt-2 is off.
     c_plus: AttrSet,
     /// The node-owned partition Π*_X — `Some` only when the partition
-    /// cache is disabled. With the cache on, partitions live in (and are
-    /// re-produced through) the [`PartitionCache`] instead, so residency is
-    /// byte-bounded.
+    /// cache is disabled. With the cache on, nodes are unresolved: their
+    /// partitions are produced through the [`PartitionCache`] only when a
+    /// candidate that survives the precheck needs them.
     partition: Option<Arc<StrippedPartition>>,
-    /// Whether Π*_X is empty (X is a superkey) — retained on the node so
-    /// Opt-3 never needs the partition to be resident.
+    /// Whether Π*_X is known to be empty (X is a superkey), so Opt-3 never
+    /// needs the partition to be resident. `false` on an unresolved node
+    /// means "unknown": the data path re-checks on the produced partition.
     superkey: bool,
 }
 
@@ -129,6 +133,11 @@ pub struct FastOfd<'a> {
     rel: &'a Relation,
     onto: &'a Ontology,
     opts: DiscoveryOptions,
+    /// The tuples discovered over: the whole relation, or one shard's row
+    /// range (see [`FastOfd::shard`]).
+    rows: Range<usize>,
+    /// A sense index built by the caller, reused instead of building one.
+    index: Option<&'a SenseIndex>,
 }
 
 impl<'a> FastOfd<'a> {
@@ -138,7 +147,20 @@ impl<'a> FastOfd<'a> {
             rel,
             onto,
             opts: DiscoveryOptions::default(),
+            rows: 0..rel.n_rows(),
+            index: None,
         }
+    }
+
+    /// Restricts the run to the tuples `rows`, reusing the parent run's
+    /// sense index: the shard engine. Tuple ids stay global, so the
+    /// run's Σ is the complete minimal cover of the sub-relation. The
+    /// caller keeps sampling, sharding and checkpoints off, since they
+    /// read the whole relation.
+    pub(crate) fn shard(mut self, index: &'a SenseIndex, rows: Range<usize>) -> FastOfd<'a> {
+        self.index = Some(index);
+        self.rows = rows;
+        self
     }
 
     /// Replaces the options.
@@ -157,13 +179,18 @@ impl<'a> FastOfd<'a> {
         let all = schema.all();
         // One shared sense index in the semantics of the requested kind;
         // `check_ofd_with_index` is thread-safe over it.
-        let index = {
-            let _span = obs.span("fastofd.index");
-            match self.opts.kind {
-                OfdKind::Synonym => SenseIndex::synonym(self.rel, self.onto),
-                OfdKind::Inheritance { theta } => {
-                    SenseIndex::inheritance(self.rel, self.onto, theta)
-                }
+        let built;
+        let index = match self.index {
+            Some(index) => index,
+            None => {
+                let _span = obs.span("fastofd.index");
+                built = match self.opts.kind {
+                    OfdKind::Synonym => SenseIndex::synonym(self.rel, self.onto),
+                    OfdKind::Inheritance { theta } => {
+                        SenseIndex::inheritance(self.rel, self.onto, theta)
+                    }
+                };
+                &built
             }
         };
         let known: Vec<Dependency> = self
@@ -176,8 +203,8 @@ impl<'a> FastOfd<'a> {
         // `ceil(κ · n_rows)` tuples. When that threshold is the full
         // relation (κ = 1, or κ close enough that any violation fails it),
         // the early-exit exact checker applies.
-        let exact =
-            support_threshold(self.rel.n_rows(), self.opts.min_support) == self.rel.n_rows();
+        let n_rows = self.rows.len();
+        let exact = support_threshold(n_rows, self.opts.min_support) == n_rows;
         // Worker-utilization bookkeeping (gauge — not thread-invariant by
         // design, unlike every counter below).
         let mut busy_us: u64 = 0;
@@ -192,17 +219,17 @@ impl<'a> FastOfd<'a> {
         // Level-0/1 partitions are pinned — they are the universal operand
         // fallbacks for every later product.
         let mut cache: Option<PartitionCache> = (self.opts.partition_cache_mib > 0)
-            .then(|| PartitionCache::new(self.opts.partition_cache_mib));
+            .then(|| PartitionCache::new(self.opts.partition_cache_mib, self.rows.clone()));
         if let Some(c) = cache.as_mut() {
             let _span = obs.span("fastofd.cache.seed");
             for a in schema.attrs() {
-                let sp = Arc::new(StrippedPartition::of_attr(self.rel, a));
+                let sp = Arc::new(self.partition_of(AttrSet::single(a)));
                 c.insert(AttrSet::single(a).bits(), sp, true);
             }
         }
 
         // Level 0: the empty antecedent.
-        let level0 = Arc::new(StrippedPartition::of(self.rel, AttrSet::empty()));
+        let level0 = Arc::new(self.partition_of(AttrSet::empty()));
         let mut prev: Vec<Node> = vec![Node {
             attrs: AttrSet::empty(),
             c_plus: all,
@@ -238,28 +265,29 @@ impl<'a> FastOfd<'a> {
                     Some(rs) => {
                         sigma = rs.sigma;
                         stats.levels = rs.levels;
-                        // Stripped partitions are recomputed from the
-                        // relation; `StrippedPartition::of` equals the
-                        // product-built partition semantically, so every
-                        // later decision is unchanged.
+                        // The frontier is rebuilt the way `next_level`
+                        // builds nodes: unresolved with the cache on,
+                        // node-owned scans without it. Partitions are
+                        // canonical however produced, so every later
+                        // decision is unchanged.
                         prev = rs
                             .frontier
                             .iter()
-                            .map(|&(attrs, c_plus)| {
-                                let sp = Arc::new(StrippedPartition::of(self.rel, attrs));
-                                let superkey = sp.is_superkey();
-                                let partition = match cache.as_mut() {
-                                    Some(c) => {
-                                        c.insert(attrs.bits(), sp, false);
-                                        None
-                                    }
-                                    None => Some(sp),
-                                };
-                                Node {
+                            .map(|&(attrs, c_plus)| match cache {
+                                Some(_) => Node {
                                     attrs,
                                     c_plus,
-                                    partition,
-                                    superkey,
+                                    partition: None,
+                                    superkey: false,
+                                },
+                                None => {
+                                    let sp = Arc::new(self.partition_of(attrs));
+                                    Node {
+                                        attrs,
+                                        c_plus,
+                                        superkey: sp.is_superkey(),
+                                        partition: Some(sp),
+                                    }
                                 }
                             })
                             .collect();
@@ -328,7 +356,7 @@ impl<'a> FastOfd<'a> {
             .then(|| {
                 let _span = obs.span("fastofd.sample");
                 let out =
-                    sample::gather_evidence(self.rel, &index, self.opts.sample_rounds, guard);
+                    sample::gather_evidence(self.rel, index, self.opts.sample_rounds, guard);
                 if obs.is_enabled() {
                     obs.add("discovery.sample.rounds", out.rounds_run);
                     obs.add(
@@ -347,14 +375,8 @@ impl<'a> FastOfd<'a> {
         let shard_covers: Option<ShardCovers> = (n_shards > 1)
             .then(|| {
                 let _span = obs.span("fastofd.shards");
-                let plan = ShardPlan {
-                    n_shards,
-                    threads: self.opts.threads.max(1),
-                    max_level,
-                    target_rhs: self.opts.target_rhs,
-                    kind: self.opts.kind,
-                };
-                let covers = shard::discover_shards(self.rel, &index, &plan, guard);
+                let covers =
+                    shard::discover_shards(self.rel, self.onto, index, &self.opts, n_shards);
                 if obs.is_enabled() {
                     obs.add("discovery.shard.shards", covers.completed as u64);
                     obs.add(
@@ -365,17 +387,6 @@ impl<'a> FastOfd<'a> {
                 covers
             })
             .filter(|c| c.completed > 0);
-        // Lazy partition mode: with a refutation oracle active (and the
-        // cache available to materialize on demand), `next_level` stops
-        // producing partitions eagerly — most candidates die on the oracles
-        // alone, so only antecedents of *surviving* candidates are ever
-        // materialized. Partition products dominate discovery cost at
-        // scale, which makes this deferral the hybrid pipeline's wall-clock
-        // win; it is result-neutral because the cache produces canonical
-        // partitions whichever route computes them.
-        let lazy_partitions =
-            (evidence.is_some() || shard_covers.is_some()) && cache.is_some();
-
         for level in start_level..=max_level {
             // Per-level checkpoint: never start building a level once a
             // limit has expired.
@@ -407,7 +418,7 @@ impl<'a> FastOfd<'a> {
                                 }
                             }
                             None => {
-                                let sp = Arc::new(self.attr_partition(a));
+                                let sp = Arc::new(self.partition_of(attrs));
                                 Node {
                                     attrs,
                                     c_plus: all,
@@ -419,7 +430,7 @@ impl<'a> FastOfd<'a> {
                     })
                     .collect()
             } else {
-                self.next_level(&prev, &prev_index, &mut scratch, &mut cache, lazy_partitions)
+                self.next_level(&prev, &prev_index, &mut scratch, cache.is_none())
             };
             ls.nodes = current.len();
 
@@ -474,11 +485,12 @@ impl<'a> FastOfd<'a> {
 
             // Partition-free pre-decisions: Opt-4 logic subsumption, then
             // the hybrid refutation oracles. Deciding these before
-            // partition resolution means (in lazy mode) refuted candidates
-            // never force a materialization. Soundness keeps attribution
-            // honest: a superkey antecedent implies a valid candidate,
-            // which no sound oracle can refute, so every KeyShortcut
-            // candidate still reaches the data path below.
+            // partition resolution means refuted candidates never force a
+            // materialization. Soundness keeps attribution honest: a
+            // superkey antecedent implies a valid candidate, which no sound
+            // oracle can refute, so every KeyShortcut candidate still
+            // reaches the data path below.
+            let precheck_span = obs.span("fastofd.precheck");
             let prechecked: Vec<Option<(bool, f64, Decision)>> = jobs
                 .iter()
                 .map(|&(_, a, lhs, _)| {
@@ -490,12 +502,14 @@ impl<'a> FastOfd<'a> {
                     self.precheck(&ofd, &known, exact, evidence.as_ref(), shard_covers.as_ref())
                 })
                 .collect();
+            drop(precheck_span);
 
             // Resolve each antecedent partition a data decision still
             // needs, before any workers spawn: cache lookups stay on this
             // thread (counters remain thread-invariant) and workers only
             // read `Arc`s.
             let resolved: Vec<Option<Arc<StrippedPartition>>> = {
+                let _span = obs.span("fastofd.resolve");
                 let mut resolved: Vec<Option<Arc<StrippedPartition>>> = Vec::new();
                 resolved.resize_with(prev.len(), || None);
                 for (&(_, _, _, pi), pre) in jobs.iter().zip(prechecked.iter()) {
@@ -511,14 +525,14 @@ impl<'a> FastOfd<'a> {
                     } else {
                         cache
                             .as_mut()
-                            .expect("cache is on when node partitions are deferred")
+                            .expect("nodes are unresolved only with the cache on")
                             .produce(self.rel, node.attrs, &mut scratch)
                     });
                 }
                 resolved
             };
 
-            let decide_one = |i: usize| {
+            let decide = |i: usize| {
                 faults.delay();
                 faults.worker_panic();
                 if let Some(pre) = prechecked[i] {
@@ -531,15 +545,18 @@ impl<'a> FastOfd<'a> {
                     kind: self.opts.kind,
                 };
                 let lhs_partition = resolved[pi].as_ref().expect("resolved before decisions");
-                self.decide_data(&index, &ofd, lhs_partition, exact)
+                self.decide_data(index, &ofd, lhs_partition, exact)
             };
             // Panic isolation: a worker panic (a bug in verification, or
             // an injected fault) is caught, recorded as the sticky
             // `WorkerPanic` interrupt, and degrades the run to the same
             // sound partial result every other interrupt produces — the
-            // process never aborts.
+            // process never aborts. A `None` decision means the guard
+            // tripped before that candidate was examined (or the worker
+            // deciding it panicked) — it is simply not part of the
+            // (sound) partial output.
             let decide_caught = |i: usize| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decide_one(i))) {
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decide(i))) {
                     Ok(out) => Some(out),
                     Err(_) => {
                         guard.trip_external(ofd_core::Interrupt::WorkerPanic);
@@ -547,71 +564,17 @@ impl<'a> FastOfd<'a> {
                     }
                 }
             };
-            // Per-candidate checkpoint: a `None` decision means the guard
-            // tripped before that candidate was examined (or the worker
-            // deciding it panicked) — it is simply not part of the
-            // (sound) partial output.
             let verify_started = Instant::now();
             let verify_span = obs.span("fastofd.verify");
-            let decisions: Vec<Option<(bool, f64, Decision)>> = if self.opts.threads <= 1
-                || jobs.len() < 2 * self.opts.threads
-            {
-                let out = (0..jobs.len())
-                    .map(|i| guard.check().ok().and_then(|()| decide_caught(i)))
-                    .collect();
-                let wall = verify_started.elapsed().as_micros() as u64;
-                busy_us += wall;
-                capacity_us += wall;
-                out
+            let workers = if jobs.len() < 2 * self.opts.threads {
+                1
             } else {
-                let n_threads = self.opts.threads.min(jobs.len());
-                let counter = std::sync::atomic::AtomicUsize::new(0);
-                let worker_busy = std::sync::atomic::AtomicU64::new(0);
-                let mut slots: Vec<Option<(bool, f64, Decision)>> = vec![None; jobs.len()];
-                let slot_ptr = SlotWriter(slots.as_mut_ptr());
-                std::thread::scope(|scope| {
-                    for _ in 0..n_threads {
-                        let counter = &counter;
-                        let worker_busy = &worker_busy;
-                        let jobs = &jobs;
-                        let decide_caught = &decide_caught;
-                        let slot_ptr = &slot_ptr;
-                        scope.spawn(move || {
-                            let worker_started = Instant::now();
-                            loop {
-                                if guard.check().is_err() {
-                                    break;
-                                }
-                                let i = counter
-                                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if i >= jobs.len() {
-                                    break;
-                                }
-                                let Some(out) = decide_caught(i) else {
-                                    // This worker panicked; the guard is
-                                    // tripped, so every worker (including
-                                    // this one) stops at its next probe.
-                                    continue;
-                                };
-                                // SAFETY: each index is claimed by exactly one
-                                // thread via the atomic counter, so writes are
-                                // disjoint.
-                                unsafe {
-                                    *slot_ptr.0.add(i) = Some(out);
-                                }
-                            }
-                            worker_busy.fetch_add(
-                                worker_started.elapsed().as_micros() as u64,
-                                std::sync::atomic::Ordering::Relaxed,
-                            );
-                        });
-                    }
-                });
-                let wall = verify_started.elapsed().as_micros() as u64;
-                busy_us += worker_busy.load(std::sync::atomic::Ordering::Relaxed);
-                capacity_us += wall * n_threads as u64;
-                slots
+                self.opts.threads
             };
+            let (decisions, worker_busy_us) =
+                pool::run_indexed(jobs.len(), workers, guard, decide_caught);
+            busy_us += worker_busy_us;
+            capacity_us += verify_started.elapsed().as_micros() as u64 * workers as u64;
             drop(verify_span);
             if obs.is_enabled() {
                 obs.set_gauge(
@@ -788,116 +751,72 @@ impl<'a> FastOfd<'a> {
         }
     }
 
-    fn attr_partition(&self, attr: AttrId) -> StrippedPartition {
-        StrippedPartition::of_attr(self.rel, attr)
+    /// Π*_X over this run's rows, straight from the relation.
+    fn partition_of(&self, attrs: AttrSet) -> StrippedPartition {
+        StrippedPartition::of_range(self.rel, attrs, self.rows.clone())
     }
 
-    /// Joins prefix blocks of the previous level into the next one.
+    /// Joins prefix blocks of the previous level into the next one. With
+    /// `node_owned` (cache off) each child owns the product of its two
+    /// joined parents; with the cache on, children are unresolved and only
+    /// the candidates that survive the precheck have their antecedent
+    /// partitions produced, through the cache.
     fn next_level(
         &self,
         prev: &[Node],
         prev_index: &FxHashMap<u64, usize>,
         scratch: &mut ProductScratch,
-        cache: &mut Option<PartitionCache>,
-        lazy: bool,
+        node_owned: bool,
     ) -> Vec<Node> {
-        // Sort node indices by attribute list; nodes sharing all but the
-        // last attribute form a block.
         let obs = &self.opts.obs;
         let _span = obs.span("fastofd.next_level");
         let mut products: u64 = 0;
         let mut products_skipped: u64 = 0;
-        let mut order: Vec<usize> = (0..prev.len()).collect();
-        order.sort_by_key(|&i| {
-            let attrs: Vec<u16> = prev[i].attrs.iter().map(|a| a.index() as u16).collect();
-            attrs
-        });
         let mut out = Vec::new();
         let all = self.rel.schema().all();
-        let mut block_start = 0;
-        while block_start < order.len() {
-            let head = prev[order[block_start]].attrs;
-            let head_prefix = head.without(last_attr(head));
-            let mut block_end = block_start + 1;
-            while block_end < order.len() {
-                let cur = prev[order[block_end]].attrs;
-                if cur.without(last_attr(cur)) != head_prefix {
-                    break;
-                }
-                block_end += 1;
+        let sets: Vec<AttrSet> = prev.iter().map(|n| n.attrs).collect();
+        for (i, j) in prefix_block_pairs(&sets) {
+            let (a, b) = (&prev[i], &prev[j]);
+            let attrs = a.attrs.union(b.attrs);
+            // All parents must exist for the C⁺ intersection (and, with
+            // Opt-2, a missing parent means the child is dead).
+            let parents_ok = attrs
+                .parents()
+                .all(|(_, p)| prev_index.contains_key(&p.bits()));
+            if !parents_ok {
+                continue;
             }
-            for i in block_start..block_end {
-                for j in (i + 1)..block_end {
-                    let a = &prev[order[i]];
-                    let b = &prev[order[j]];
-                    let attrs = a.attrs.union(b.attrs);
-                    // All parents must exist for the C⁺ intersection (and,
-                    // with Opt-2, a missing parent means the child is dead).
-                    let parents_ok = attrs
-                        .parents()
-                        .all(|(_, p)| prev_index.contains_key(&p.bits()));
-                    if !parents_ok {
-                        continue;
-                    }
-                    if self.opts.use_opt3 && (a.superkey || b.superkey) {
-                        // Opt-3: supersets of superkeys are superkeys; skip
-                        // the product entirely.
-                        products_skipped += 1;
-                        out.push(Node {
-                            attrs,
-                            c_plus: all,
-                            superkey: true,
-                            partition: cache
-                                .is_none()
-                                .then(|| Arc::new(StrippedPartition::empty(self.rel.n_rows()))),
-                        });
-                        continue;
-                    }
-                    if lazy {
-                        // Hybrid mode: defer the product. Π*_X is produced
-                        // through the cache only if a surviving candidate
-                        // ever needs it; `superkey: false` just means
-                        // "unknown" — the data path re-checks on the
-                        // materialized partition, so Opt-3 attribution is
-                        // unchanged.
-                        out.push(Node {
-                            attrs,
-                            c_plus: all,
-                            superkey: false,
-                            partition: None,
-                        });
-                        continue;
-                    }
-                    products += 1;
-                    let (p, partition) = match cache.as_mut() {
-                        Some(c) => {
-                            // First sight of X this run: the cache picks the
-                            // cheapest resident operand pair.
-                            (c.produce(self.rel, attrs, scratch), None)
-                        }
-                        None => {
-                            let left =
-                                a.partition.as_ref().expect("resident when cache off");
-                            let right =
-                                b.partition.as_ref().expect("resident when cache off");
-                            let p = Arc::new(left.product_with_scratch(right, scratch));
-                            (Arc::clone(&p), Some(p))
-                        }
-                    };
-                    obs.observe(
-                        "discovery.partition.class_count",
-                        CLASS_COUNT_BOUNDS,
-                        p.class_count() as f64,
-                    );
-                    out.push(Node {
-                        attrs,
-                        c_plus: all,
-                        superkey: p.is_superkey(),
-                        partition,
-                    });
-                }
+            if self.opts.use_opt3 && (a.superkey || b.superkey) {
+                // Opt-3: supersets of superkeys are superkeys; skip the
+                // product entirely.
+                products_skipped += 1;
+                out.push(Node {
+                    attrs,
+                    c_plus: all,
+                    superkey: true,
+                    partition: node_owned
+                        .then(|| Arc::new(StrippedPartition::empty(self.rel.n_rows()))),
+                });
+                continue;
             }
-            block_start = block_end;
+            let partition = node_owned.then(|| {
+                products += 1;
+                let left = a.partition.as_ref().expect("node-owned partition");
+                let right = b.partition.as_ref().expect("node-owned partition");
+                let p = left.product_with_scratch(right, scratch);
+                obs.observe(
+                    "discovery.partition.class_count",
+                    CLASS_COUNT_BOUNDS,
+                    p.class_count() as f64,
+                );
+                Arc::new(p)
+            });
+            out.push(Node {
+                attrs,
+                c_plus: all,
+                superkey: partition.as_ref().is_some_and(|p| p.is_superkey()),
+                partition,
+            });
         }
         obs.add("discovery.partition.products", products);
         obs.add("discovery.prune.opt3.products_skipped", products_skipped);
@@ -907,7 +826,7 @@ impl<'a> FastOfd<'a> {
     /// Decides a candidate without touching any partition, when possible:
     /// Opt-4 logic subsumption first, then the hybrid refutation oracles.
     ///
-    /// Runs before partition resolution so that, in lazy mode, a
+    /// Runs before partition resolution so that, with the cache on, a
     /// pre-decided candidate never forces a materialization. Ordering
     /// Opt-4 ahead of the oracles keeps Σ byte-identical with the phases
     /// off even when `known_fds` do not actually hold on the instance (an
@@ -997,17 +916,8 @@ enum Decision {
     ShardRefuted,
 }
 
-/// Raw-pointer wrapper so disjoint slots can be written from scoped worker
-/// threads (each index claimed once through an atomic counter).
-struct SlotWriter<T>(*mut Option<T>);
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
-
 /// Bucket boundaries for the partition class-count histogram
 /// (`discovery.partition.class_count`).
 const CLASS_COUNT_BOUNDS: &[f64] = &[
     0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0, 4096.0, 16384.0,
 ];
-
-fn last_attr(set: AttrSet) -> AttrId {
-    set.iter().last().expect("non-empty lattice node")
-}

@@ -36,6 +36,7 @@ mod cache;
 mod checkpoint;
 mod fastofd;
 mod options;
+mod pool;
 mod sample;
 mod shard;
 mod stats;
@@ -459,6 +460,37 @@ mod tests {
     }
 
     #[test]
+    fn every_level_span_holds_precheck_and_resolve_spans() {
+        // The per-level ledger: each `fastofd.level.N` span has exactly one
+        // `fastofd.precheck` and one `fastofd.resolve` child, with the cache
+        // on (unresolved nodes) and off (node-owned partitions).
+        let rel = table1();
+        let onto = samples::combined_paper_ontology();
+        for opts in [
+            DiscoveryOptions::new(),
+            DiscoveryOptions::new().sample_rounds(0).partition_cache_mib(0),
+        ] {
+            let obs = ofd_core::Obs::enabled();
+            let run = FastOfd::new(&rel, &onto).options(opts.obs(obs.clone())).run();
+            let m = obs.snapshot();
+            let levels: Vec<usize> = (0..m.spans.len())
+                .filter(|&i| m.spans[i].name.starts_with("fastofd.level."))
+                .collect();
+            assert_eq!(levels.len(), run.stats.levels.len());
+            for &level in &levels {
+                for child in ["fastofd.precheck", "fastofd.resolve"] {
+                    let n = m
+                        .spans
+                        .iter()
+                        .filter(|s| s.parent == Some(level) && s.name == child)
+                        .count();
+                    assert_eq!(n, 1, "{child} under {}", m.spans[level].name);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn disabled_obs_changes_nothing() {
         let rel = table1();
         let onto = samples::combined_paper_ontology();
@@ -702,7 +734,7 @@ mod tests {
 
     /// Random small relations + random flat ontologies for differential
     /// testing against brute force.
-    fn arb_instance() -> impl Strategy<Value = (Relation, Ontology)> {
+    pub(crate) fn arb_instance() -> impl Strategy<Value = (Relation, Ontology)> {
         let n_attrs = 3usize;
         let rows = prop::collection::vec(
             prop::collection::vec(0u8..4, n_attrs),

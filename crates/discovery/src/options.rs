@@ -85,8 +85,8 @@ pub struct DiscoveryOptions {
     /// Both 0 (the default) disables sharding.
     pub shard_rows: usize,
     /// Number of row shards for the pre-filter discovery phase (exact
-    /// discovery only). Each shard's complete minimal cover is computed on
-    /// its row range by the worker pool; a candidate failing on any shard
+    /// discovery only). Each shard's complete minimal cover is computed by
+    /// a FastOFD run over its row range on the worker pool; a candidate failing on any shard
     /// is refuted without a full-relation scan, and survivors are still
     /// verified against the full relation. Result-neutral and excluded from
     /// the checkpoint fingerprint, like
@@ -94,9 +94,12 @@ pub struct DiscoveryOptions {
     /// [`DiscoveryOptions::shard_rows`] when non-zero; `0` defers to it.
     pub shards: usize,
     /// Byte budget (MiB) of the partition cache retaining computed Π*_X
-    /// across lattice levels with LRU eviction; `0` disables the cache and
-    /// restores node-owned partitions with fixed parent-pair products.
-    /// Like [`DiscoveryOptions::threads`], this is result-neutral —
+    /// across lattice levels with LRU eviction. With the cache on, lattice
+    /// nodes are unresolved and only antecedents that a surviving
+    /// candidate needs are produced. `0` means node-owned partitions: each
+    /// node owns the product of its two joined parents — the shard
+    /// engine's mode. Like [`DiscoveryOptions::threads`], this is
+    /// result-neutral —
     /// partitions are canonical however they are produced, so Σ and the
     /// per-level stats are byte-identical at any budget (and the setting is
     /// deliberately excluded from the checkpoint fingerprint).
@@ -215,8 +218,9 @@ impl DiscoveryOptions {
         self
     }
 
-    /// Sets the partition-cache byte budget in MiB (`0` disables the
-    /// cache). Result-neutral: any budget yields byte-identical Σ.
+    /// Sets the partition-cache byte budget in MiB (`0` means node-owned
+    /// partitions, the shard engine's mode). Result-neutral: any budget
+    /// yields byte-identical Σ.
     pub fn partition_cache_mib(mut self, mib: usize) -> Self {
         self.partition_cache_mib = mib;
         self

@@ -5,12 +5,12 @@
 //! its rows (each subset class is contained in a full class, and a common
 //! sense restricts). The contrapositive is the oracle: a candidate that
 //! *fails on any row shard* is globally refuted without touching the full
-//! relation. The phase splits the rows into contiguous chunks, runs a
-//! self-contained lattice pass per chunk on the existing worker threads
-//! (no rayon), and keeps each completed shard's **complete minimal cover**
-//! Σ_s over its range. `X → A` then holds on shard `s` iff some `X' ⊆ X`
-//! with `X' → A` is in Σ_s — completeness of Σ_s is what makes a negative
-//! answer a sound refutation.
+//! relation. The phase splits the rows into contiguous chunks, runs the
+//! FastOFD engine itself over each chunk ([`FastOfd::shard`]) on the
+//! crate's worker pool, and keeps each completed shard's **complete
+//! minimal cover** Σ_s over its range. `X → A` then holds on shard `s` iff
+//! some `X' ⊆ X` with `X' → A` is in Σ_s — completeness of Σ_s is what
+//! makes a negative answer a sound refutation.
 //!
 //! Merging is deliberately *not* "union the covers and emit": a shard-
 //! minimal antecedent can fail globally while a superset holds, so the
@@ -18,17 +18,16 @@
 //! traversal keeps its exact structure and consults the covers per
 //! candidate; survivors are validated against the full relation with the
 //! normal CSR/partition-cache machinery (`validate the union globally`).
-//! A shard interrupted by the guard is discarded whole — a *partial*
+//! A shard run interrupted by the guard is discarded whole — a *partial*
 //! cover would refute candidates it merely failed to reach.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
-use ofd_core::{
-    check_ofd_exact, AttrId, AttrSet, ExecGuard, FxHashMap, FxHashSet, Ofd, OfdKind,
-    ProductScratch, Relation, SenseIndex, StrippedPartition,
-};
+use ofd_core::{AttrId, AttrSet, FxHashSet, Relation, SenseIndex};
+use ofd_ontology::Ontology;
+
+use crate::pool;
+use crate::{DiscoveryOptions, FastOfd};
 
 /// The complete minimal cover of one completed shard, indexed for subset
 /// queries: `per_rhs[a]` holds the antecedent bit-sets of every minimal
@@ -39,12 +38,6 @@ pub(crate) struct ShardCover {
 }
 
 impl ShardCover {
-    fn new(n_attrs: usize) -> ShardCover {
-        ShardCover {
-            per_rhs: vec![Vec::new(); n_attrs],
-        }
-    }
-
     /// Whether `lhs → rhs` holds on this shard: some minimal cover entry
     /// is contained in `lhs`.
     #[inline]
@@ -58,10 +51,10 @@ impl ShardCover {
 }
 
 /// The per-shard covers of a completed pre-filter phase.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ShardCovers {
     covers: Vec<ShardCover>,
-    /// Shards whose mini-run completed (only these may refute).
+    /// Shards whose run completed (only these may refute).
     pub completed: usize,
 }
 
@@ -88,17 +81,6 @@ impl ShardCovers {
     }
 }
 
-/// Configuration of the shard phase, mirroring the result-affecting knobs
-/// of the owning discovery run (the covers must be complete for exactly
-/// the candidate space the global traversal will query).
-pub(crate) struct ShardPlan {
-    pub n_shards: usize,
-    pub threads: usize,
-    pub max_level: usize,
-    pub target_rhs: Option<AttrSet>,
-    pub kind: OfdKind,
-}
-
 /// Splits `n_rows` into `n_shards` contiguous, near-even, non-empty ranges.
 fn ranges(n_rows: usize, n_shards: usize) -> Vec<Range<usize>> {
     let base = n_rows / n_shards;
@@ -113,260 +95,63 @@ fn ranges(n_rows: usize, n_shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs the shard phase: per-range mini discovery on up to `threads`
-/// scoped workers, discarding any shard the guard interrupted.
+/// The options of one shard run: exact, single-threaded and quiet (no
+/// obs, checkpoints, faults, `known_fds`, sampling or nested shards), with
+/// node-owned partitions, and with `kind`, `max_level` and `target_rhs`
+/// copied from the parent, so each cover is complete for exactly the
+/// candidate space the global traversal queries.
+fn shard_options(parent: &DiscoveryOptions) -> DiscoveryOptions {
+    DiscoveryOptions {
+        kind: parent.kind,
+        max_level: parent.max_level,
+        target_rhs: parent.target_rhs,
+        guard: parent.guard.clone(),
+        sample_rounds: 0,
+        partition_cache_mib: 0,
+        ..DiscoveryOptions::default()
+    }
+}
+
+/// Runs the shard phase: one FastOFD run per row range on up to
+/// `parent.threads` pool workers, discarding any run the guard interrupted.
+/// `n_shards` must be between 1 and the relation's row count.
 pub(crate) fn discover_shards(
     rel: &Relation,
+    onto: &Ontology,
     index: &SenseIndex,
-    plan: &ShardPlan,
-    guard: &ExecGuard,
+    parent: &DiscoveryOptions,
+    n_shards: usize,
 ) -> ShardCovers {
-    let n_shards = plan.n_shards.min(rel.n_rows());
-    if n_shards == 0 {
-        return ShardCovers::default();
-    }
     let ranges = ranges(rel.n_rows(), n_shards);
-    let slots: Mutex<Vec<ShardCover>> = Mutex::new(Vec::new());
-    let workers = plan.threads.clamp(1, n_shards);
-    if workers <= 1 {
-        let mut done = slots.lock().expect("no poisoned lock");
-        for range in &ranges {
-            if let Some(cover) = shard_cover(rel, index, range.clone(), plan, guard) {
-                done.push(cover);
+    let opts = shard_options(parent);
+    let n_attrs = rel.schema().len();
+    let workers = parent.threads.clamp(1, n_shards);
+    let (covers, _) = pool::run_indexed(n_shards, workers, &parent.guard, |i| {
+        let run = FastOfd::new(rel, onto)
+            .options(opts.clone())
+            .shard(index, ranges[i].clone())
+            .run();
+        run.complete.then(|| {
+            let mut per_rhs = vec![Vec::new(); n_attrs];
+            for ofd in run.ofds() {
+                per_rhs[ofd.rhs.index()].push(ofd.lhs.bits());
             }
-        }
-        drop(done);
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let next = &next;
-                let ranges = &ranges;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    if guard.check().is_err() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(range) = ranges.get(i) else {
-                        break;
-                    };
-                    if let Some(cover) = shard_cover(rel, index, range.clone(), plan, guard)
-                    {
-                        slots.lock().expect("no poisoned lock").push(cover);
-                    }
-                });
-            }
-        });
-    }
-    let covers = slots.into_inner().expect("no poisoned lock");
+            ShardCover { per_rhs }
+        })
+    });
+    let covers: Vec<ShardCover> = covers.into_iter().flatten().collect();
     ShardCovers {
         completed: covers.len(),
         covers,
     }
 }
 
-/// One node of a shard's mini lattice: partitions are node-owned (no
-/// cache — shard partitions are range-sized and short-lived).
-struct MiniNode {
-    attrs: AttrSet,
-    c_plus: AttrSet,
-    partition: Arc<StrippedPartition>,
-    superkey: bool,
-}
-
-/// Level-wise exact discovery over one row range, mirroring the main
-/// engine's candidate logic (Opt-1/2/3) so the returned cover is the
-/// complete minimal Σ_s of the sub-relation, truncated at `max_level` and
-/// restricted to `target_rhs` — exactly the candidate space the global
-/// run queries. Returns `None` when the guard trips: an incomplete cover
-/// must never refute.
-fn shard_cover(
-    rel: &Relation,
-    index: &SenseIndex,
-    range: Range<usize>,
-    plan: &ShardPlan,
-    guard: &ExecGuard,
-) -> Option<ShardCover> {
-    let schema = rel.schema();
-    let all = schema.all();
-    let mut cover = ShardCover::new(schema.len());
-    let mut scratch = ProductScratch::default();
-    let level0 = Arc::new(StrippedPartition::of_range(rel, AttrSet::empty(), range.clone()));
-    let mut prev: Vec<MiniNode> = vec![MiniNode {
-        attrs: AttrSet::empty(),
-        c_plus: all,
-        superkey: level0.is_superkey(),
-        partition: level0,
-    }];
-    let mut prev_index: FxHashMap<u64, usize> =
-        std::iter::once((AttrSet::empty().bits(), 0)).collect();
-    let max_level = plan.max_level.min(schema.len());
-
-    for level in 1..=max_level {
-        guard.check().ok()?;
-        let mut current: Vec<MiniNode> = if level == 1 {
-            schema
-                .attrs()
-                .map(|a| {
-                    let sp = Arc::new(StrippedPartition::of_range(
-                        rel,
-                        AttrSet::single(a),
-                        range.clone(),
-                    ));
-                    MiniNode {
-                        attrs: AttrSet::single(a),
-                        c_plus: all,
-                        superkey: sp.is_superkey(),
-                        partition: sp,
-                    }
-                })
-                .collect()
-        } else {
-            next_mini_level(rel, &prev, &prev_index, &mut scratch)
-        };
-        for node in &mut current {
-            let mut cp = all;
-            for (_, parent) in node.attrs.parents() {
-                match prev_index.get(&parent.bits()) {
-                    Some(&pi) => cp = cp.intersect(prev[pi].c_plus),
-                    None => cp = AttrSet::empty(),
-                }
-            }
-            node.c_plus = cp;
-        }
-        // Candidate verification — sequential within the shard (the phase
-        // parallelizes across shards, one worker each).
-        let mut emitted: Vec<(usize, AttrId, AttrSet)> = Vec::new();
-        for (ni, node) in current.iter().enumerate() {
-            let mut cands = node.attrs.intersect(node.c_plus);
-            if let Some(target) = plan.target_rhs {
-                cands = cands.intersect(target);
-            }
-            for a in cands.iter() {
-                guard.check().ok()?;
-                let lhs = node.attrs.without(a);
-                let Some(&pi) = prev_index.get(&lhs.bits()) else {
-                    continue;
-                };
-                let parent = &prev[pi];
-                let valid = parent.superkey
-                    || check_ofd_exact(
-                        rel,
-                        index,
-                        &Ofd {
-                            lhs,
-                            rhs: a,
-                            kind: plan.kind,
-                        },
-                        &parent.partition,
-                    );
-                if valid {
-                    emitted.push((ni, a, lhs));
-                }
-            }
-        }
-        for &(ni, a, lhs) in &emitted {
-            cover.per_rhs[a.index()].push(lhs.bits());
-            current[ni].c_plus.remove(a);
-        }
-        current.retain(|n| !n.c_plus.is_empty());
-        prev_index = current
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.attrs.bits(), i))
-            .collect();
-        prev = current;
-        if prev.is_empty() {
-            break;
-        }
-    }
-    Some(cover)
-}
-
-/// Prefix-block join of the previous mini level (the cache-off analogue of
-/// the main engine's `next_level`, over range partitions).
-fn next_mini_level(
-    rel: &Relation,
-    prev: &[MiniNode],
-    prev_index: &FxHashMap<u64, usize>,
-    scratch: &mut ProductScratch,
-) -> Vec<MiniNode> {
-    let all = rel.schema().all();
-    let mut order: Vec<usize> = (0..prev.len()).collect();
-    order.sort_by_key(|&i| {
-        let attrs: Vec<u16> = prev[i].attrs.iter().map(|a| a.index() as u16).collect();
-        attrs
-    });
-    let mut out = Vec::new();
-    let mut block_start = 0;
-    while block_start < order.len() {
-        let head = prev[order[block_start]].attrs;
-        let head_prefix = head.without(last_attr(head));
-        let mut block_end = block_start + 1;
-        while block_end < order.len() {
-            let cur = prev[order[block_end]].attrs;
-            if cur.without(last_attr(cur)) != head_prefix {
-                break;
-            }
-            block_end += 1;
-        }
-        for i in block_start..block_end {
-            for j in (i + 1)..block_end {
-                let a = &prev[order[i]];
-                let b = &prev[order[j]];
-                let attrs = a.attrs.union(b.attrs);
-                let parents_ok = attrs
-                    .parents()
-                    .all(|(_, p)| prev_index.contains_key(&p.bits()));
-                if !parents_ok {
-                    continue;
-                }
-                if a.superkey || b.superkey {
-                    // Range-superkeys propagate to supersets; skip the
-                    // product (Opt-3, restricted to the shard).
-                    out.push(MiniNode {
-                        attrs,
-                        c_plus: all,
-                        superkey: true,
-                        partition: Arc::new(StrippedPartition::empty(rel.n_rows())),
-                    });
-                    continue;
-                }
-                let p = Arc::new(a.partition.product_with_scratch(&b.partition, scratch));
-                out.push(MiniNode {
-                    attrs,
-                    c_plus: all,
-                    superkey: p.is_superkey(),
-                    partition: p,
-                });
-            }
-        }
-        block_start = block_end;
-    }
-    out
-}
-
-fn last_attr(set: AttrSet) -> AttrId {
-    set.iter().last().expect("non-empty lattice node")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiscoveryOptions, FastOfd};
-    use ofd_core::table1;
+    use ofd_core::{table1, ExecGuard};
     use ofd_ontology::samples;
-
-    fn plan(n_shards: usize, max_level: usize) -> ShardPlan {
-        ShardPlan {
-            n_shards,
-            threads: 1,
-            max_level,
-            target_rhs: None,
-            kind: OfdKind::Synonym,
-        }
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn ranges_are_contiguous_even_and_exhaustive() {
@@ -388,40 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_cover_equals_full_engine_sigma() {
-        // With one shard spanning all rows, the mini engine must compute
-        // exactly the complete minimal cover the main engine finds.
-        let rel = table1();
-        let onto = samples::combined_paper_ontology();
-        let index = SenseIndex::synonym(&rel, &onto);
-        let n = rel.schema().len();
-        let cover = shard_cover(
-            &rel,
-            &index,
-            0..rel.n_rows(),
-            &plan(1, n),
-            &ExecGuard::unlimited(),
-        )
-        .expect("unguarded run completes");
-        let reference = FastOfd::new(&rel, &onto)
-            .options(DiscoveryOptions::new().sample_rounds(0))
-            .run();
-        let mut want: Vec<(u64, usize)> = reference
-            .ofds()
-            .map(|o| (o.lhs.bits(), o.rhs.index()))
-            .collect();
-        want.sort_unstable();
-        let mut got: Vec<(u64, usize)> = cover
-            .per_rhs
-            .iter()
-            .enumerate()
-            .flat_map(|(rhs, entries)| entries.iter().map(move |&l| (l, rhs)))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn shard_refutation_is_sound_for_global_ofds() {
         // Everything in the full-relation Σ holds on every shard, so the
         // oracle must never refute it — at any shard count.
@@ -430,13 +181,9 @@ mod tests {
         let index = SenseIndex::synonym(&rel, &onto);
         let sigma = FastOfd::new(&rel, &onto).run();
         for n_shards in [1usize, 2, 3, 5, 11] {
-            let covers = discover_shards(
-                &rel,
-                &index,
-                &plan(n_shards, rel.schema().len()),
-                &ExecGuard::unlimited(),
-            );
-            assert_eq!(covers.completed, n_shards.min(rel.n_rows()));
+            let covers =
+                discover_shards(&rel, &onto, &index, &DiscoveryOptions::new(), n_shards);
+            assert_eq!(covers.completed, n_shards);
             assert!(covers.merged_candidates() > 0);
             for d in sigma.ofds() {
                 assert!(
@@ -455,12 +202,44 @@ mod tests {
         let index = SenseIndex::synonym(&rel, &onto);
         let guard = ExecGuard::unlimited();
         guard.cancel();
-        let covers = discover_shards(&rel, &index, &plan(3, 4), &guard);
+        let parent = DiscoveryOptions::new().max_level(4).guard(guard);
+        let covers = discover_shards(&rel, &onto, &index, &parent, 3);
         assert_eq!(covers.completed, 0, "no partial cover survives a trip");
         // And an oracle with no completed shards refutes nothing.
         let schema = rel.schema();
         for a in schema.attrs() {
             assert!(!covers.refutes(AttrSet::empty(), a));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Each shard run's Σ is exactly what FastOFD discovers on that
+        /// row range materialised as a relation of its own: the range
+        /// engine reads no tuple outside its range.
+        #[test]
+        fn shard_run_equals_engine_on_materialised_range(
+            ((rel, onto), n_shards) in (crate::tests::arb_instance(), 1usize..8)
+        ) {
+            let index = SenseIndex::synonym(&rel, &onto);
+            let opts = shard_options(&DiscoveryOptions::new());
+            let names: Vec<&str> = rel.schema().attrs().map(|a| rel.schema().name(a)).collect();
+            for range in ranges(rel.n_rows(), n_shards.min(rel.n_rows())) {
+                let shard = FastOfd::new(&rel, &onto)
+                    .options(opts.clone())
+                    .shard(&index, range.clone())
+                    .run();
+                let texts: Vec<Vec<&str>> = range.clone().map(|t| rel.row_texts(t)).collect();
+                let sub = Relation::from_rows(
+                    names.iter().copied(),
+                    texts.iter().map(Vec::as_slice),
+                )
+                .expect("sub-relation");
+                let alone = FastOfd::new(&sub, &onto).run();
+                prop_assert!(shard.complete);
+                prop_assert_eq!(&shard.ofds, &alone.ofds, "range {:?}", range);
+            }
         }
     }
 }

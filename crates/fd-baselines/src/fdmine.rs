@@ -11,7 +11,8 @@
 use ofd_core::FxHashMap;
 
 use ofd_core::{
-    AttrId, AttrSet, ExecGuard, Fd, Obs, Partial, ProductScratch, Relation, StrippedPartition,
+    prefix_block_pairs, AttrSet, ExecGuard, Fd, Obs, Partial, ProductScratch, Relation,
+    StrippedPartition,
 };
 
 use crate::common::{minimize_fds, record_interrupt, sort_fds};
@@ -121,56 +122,35 @@ pub fn discover_raw_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partia
         level.retain(|node| node.attrs.union(node.closure) != all);
 
         // Generate the next level from prefix blocks.
-        let mut order: Vec<usize> = (0..level.len()).collect();
-        order.sort_by_key(|&i| {
-            let attrs: Vec<u16> = level[i].attrs.iter().map(|x| x.index() as u16).collect();
-            attrs
-        });
+        let sets: Vec<AttrSet> = level.iter().map(|n| n.attrs).collect();
         let mut seen: FxHashMap<u64, ()> = FxHashMap::default();
         let mut next: Vec<Node> = Vec::new();
-        let mut block_start = 0;
-        while block_start < order.len() {
-            let head = level[order[block_start]].attrs;
-            let head_prefix = head.without(last_attr(head));
-            let mut block_end = block_start + 1;
-            while block_end < order.len() {
-                let cur = level[order[block_end]].attrs;
-                if cur.without(last_attr(cur)) != head_prefix {
-                    break;
-                }
-                block_end += 1;
+        for (i, j) in prefix_block_pairs(&sets) {
+            if guard.check().is_err() {
+                break 'levels;
             }
-            for i in block_start..block_end {
-                for j in (i + 1)..block_end {
-                    if guard.check().is_err() {
-                        break 'levels;
-                    }
-                    let x1 = &level[order[i]];
-                    let x2 = &level[order[j]];
-                    let attrs = x1.attrs.union(x2.attrs);
-                    if seen.insert(attrs.bits(), ()).is_some() {
-                        continue;
-                    }
-                    // Skip candidates already determined by a parent
-                    // (their FDs are derivable).
-                    if attrs.is_subset(x1.attrs.union(x1.closure))
-                        || attrs.is_subset(x2.attrs.union(x2.closure))
-                    {
-                        continue;
-                    }
-                    products += 1;
-                    let partition =
-                        x1.partition.product_with_scratch(&x2.partition, &mut scratch);
-                    let card = card_of(n_rows, &partition);
-                    next.push(Node {
-                        attrs,
-                        partition,
-                        card,
-                        closure: x1.closure.union(x2.closure).minus(attrs),
-                    });
-                }
+            let x1 = &level[i];
+            let x2 = &level[j];
+            let attrs = x1.attrs.union(x2.attrs);
+            if seen.insert(attrs.bits(), ()).is_some() {
+                continue;
             }
-            block_start = block_end;
+            // Skip candidates already determined by a parent
+            // (their FDs are derivable).
+            if attrs.is_subset(x1.attrs.union(x1.closure))
+                || attrs.is_subset(x2.attrs.union(x2.closure))
+            {
+                continue;
+            }
+            products += 1;
+            let partition = x1.partition.product_with_scratch(&x2.partition, &mut scratch);
+            let card = card_of(n_rows, &partition);
+            next.push(Node {
+                attrs,
+                partition,
+                card,
+                closure: x1.closure.union(x2.closure).minus(attrs),
+            });
         }
         if next.is_empty() {
             break;
@@ -206,10 +186,6 @@ pub fn discover_guarded(rel: &Relation, guard: &ExecGuard) -> Partial<Vec<Fd>> {
 /// [`discover_raw_with`] for the recorded counters).
 pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Vec<Fd>> {
     discover_raw_with(rel, guard, obs).map(minimize_fds)
-}
-
-fn last_attr(set: AttrSet) -> AttrId {
-    set.iter().last().expect("non-empty node")
 }
 
 #[cfg(test)]

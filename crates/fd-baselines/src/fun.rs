@@ -9,7 +9,8 @@
 use ofd_core::FxHashMap;
 
 use ofd_core::{
-    AttrId, AttrSet, ExecGuard, Fd, Obs, Partial, ProductScratch, Relation, StrippedPartition,
+    prefix_block_pairs, AttrSet, ExecGuard, Fd, Obs, Partial, ProductScratch, Relation,
+    StrippedPartition,
 };
 
 use crate::common::{record_interrupt, sort_fds};
@@ -119,57 +120,37 @@ pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Ve
             .map(|(i, node)| (node.attrs.bits(), i))
             .collect();
         let mut next: Vec<Node> = Vec::new();
-        let mut order: Vec<usize> = (0..prev.len()).collect();
-        order.sort_by_key(|&i| {
-            let attrs: Vec<u16> = prev[i].attrs.iter().map(|x| x.index() as u16).collect();
-            attrs
-        });
-        let mut block_start = 0;
-        while block_start < order.len() {
-            let head = prev[order[block_start]].attrs;
-            let head_prefix = head.without(last_attr(head));
-            let mut block_end = block_start + 1;
-            while block_end < order.len() {
-                let cur = prev[order[block_end]].attrs;
-                if cur.without(last_attr(cur)) != head_prefix {
-                    break;
-                }
-                block_end += 1;
+        let sets: Vec<AttrSet> = prev.iter().map(|n| n.attrs).collect();
+        for (i, j) in prefix_block_pairs(&sets) {
+            if guard.check().is_err() {
+                break 'levels;
             }
-            for i in block_start..block_end {
-                for j in (i + 1)..block_end {
-                    if guard.check().is_err() {
-                        break 'levels;
-                    }
-                    let a = &prev[order[i]];
-                    let b = &prev[order[j]];
-                    let attrs = a.attrs.union(b.attrs);
-                    if !attrs
-                        .parents()
-                        .all(|(_, p)| prev_index.contains_key(&p.bits()))
-                    {
-                        continue; // some subset is non-free ⇒ X is non-free
-                    }
-                    products += 1;
-                    let partition = a.partition.product_with_scratch(&b.partition, &mut scratch);
-                    let card = card_of(rel, &partition);
-                    // Free iff strictly finer than every parent.
-                    let free = attrs.parents().all(|(_, p)| {
-                        card_by_set
-                            .get(&p.bits())
-                            .is_some_and(|&pc| pc < card)
-                    });
-                    if free {
-                        card_by_set.insert(attrs.bits(), card);
-                        next.push(Node {
-                            attrs,
-                            partition,
-                            card,
-                        });
-                    }
-                }
+            let a = &prev[i];
+            let b = &prev[j];
+            let attrs = a.attrs.union(b.attrs);
+            if !attrs
+                .parents()
+                .all(|(_, p)| prev_index.contains_key(&p.bits()))
+            {
+                continue; // some subset is non-free ⇒ X is non-free
             }
-            block_start = block_end;
+            products += 1;
+            let partition = a.partition.product_with_scratch(&b.partition, &mut scratch);
+            let card = card_of(rel, &partition);
+            // Free iff strictly finer than every parent.
+            let free = attrs.parents().all(|(_, p)| {
+                card_by_set
+                    .get(&p.bits())
+                    .is_some_and(|&pc| pc < card)
+            });
+            if free {
+                card_by_set.insert(attrs.bits(), card);
+                next.push(Node {
+                    attrs,
+                    partition,
+                    card,
+                });
+            }
         }
         if next.is_empty() {
             break;
@@ -194,10 +175,6 @@ fn push_if_minimal(fds: &mut Vec<Fd>, fd: Fd) {
     }
     fds.retain(|g| !(g.rhs == fd.rhs && fd.lhs.is_proper_subset(g.lhs)));
     fds.push(fd);
-}
-
-fn last_attr(set: AttrSet) -> AttrId {
-    set.iter().last().expect("non-empty node")
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 use ofd_core::FxHashMap;
 
 use ofd_core::{
-    meets_support, AttrId, AttrSet, ExecGuard, Fd, Obs, Partial, ProductScratch, Relation,
-    StrippedPartition, ValueId,
+    meets_support, prefix_block_pairs, AttrSet, ExecGuard, Fd, Obs, Partial, ProductScratch,
+    Relation, StrippedPartition, ValueId,
 };
 
 use crate::common::{record_interrupt, sort_fds};
@@ -317,53 +317,29 @@ fn generate_next(
     guard: &ExecGuard,
     products: &mut u64,
 ) -> Vec<Node> {
-    let mut order: Vec<usize> = (0..prev.len()).collect();
-    order.sort_by_key(|&i| {
-        let attrs: Vec<u16> = prev[i].attrs.iter().map(|a| a.index() as u16).collect();
-        attrs
-    });
+    let sets: Vec<AttrSet> = prev.iter().map(|n| n.attrs).collect();
     let mut out = Vec::new();
-    let mut block_start = 0;
-    while block_start < order.len() {
-        let head = prev[order[block_start]].attrs;
-        let head_prefix = head.without(last_attr(head));
-        let mut block_end = block_start + 1;
-        while block_end < order.len() {
-            let cur = prev[order[block_end]].attrs;
-            if cur.without(last_attr(cur)) != head_prefix {
-                break;
-            }
-            block_end += 1;
+    for (i, j) in prefix_block_pairs(&sets) {
+        if guard.check().is_err() {
+            return out;
         }
-        for i in block_start..block_end {
-            for j in (i + 1)..block_end {
-                if guard.check().is_err() {
-                    return out;
-                }
-                let a = &prev[order[i]];
-                let b = &prev[order[j]];
-                let attrs = a.attrs.union(b.attrs);
-                if !attrs
-                    .parents()
-                    .all(|(_, p)| prev_index.contains_key(&p.bits()))
-                {
-                    continue;
-                }
-                *products += 1;
-                out.push(Node {
-                    attrs,
-                    c_plus: AttrSet::empty(),
-                    partition: a.partition.product_with_scratch(&b.partition, scratch),
-                });
-            }
+        let a = &prev[i];
+        let b = &prev[j];
+        let attrs = a.attrs.union(b.attrs);
+        if !attrs
+            .parents()
+            .all(|(_, p)| prev_index.contains_key(&p.bits()))
+        {
+            continue;
         }
-        block_start = block_end;
+        *products += 1;
+        out.push(Node {
+            attrs,
+            c_plus: AttrSet::empty(),
+            partition: a.partition.product_with_scratch(&b.partition, scratch),
+        });
     }
     out
-}
-
-fn last_attr(set: AttrSet) -> AttrId {
-    set.iter().last().expect("non-empty node")
 }
 
 /// C⁺ of a (possibly never-materialized) node: its recorded value when

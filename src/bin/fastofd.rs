@@ -235,7 +235,7 @@ fn run() -> Result<ExitCode, String> {
             if let Some(mib) = single("partition-cache-mib") {
                 opts = opts.partition_cache_mib(
                     mib.parse()
-                        .map_err(|_| "--partition-cache-mib expects MiB (0 disables)")?,
+                        .map_err(|_| "--partition-cache-mib expects MiB (0 means node-owned partitions)")?,
                 );
             }
             if let Some(rounds) = single("sample-rounds") {
@@ -569,7 +569,8 @@ fn usage() -> String {
      execution limits (discover/clean/enforce): --timeout-ms N --max-work N --max-rss-mib N\n\
      observability (discover/clean/enforce): --metrics-out metrics.json --trace\n\
      crash safety (discover/clean/enforce): --checkpoint-dir DIR [--resume]\n\
-     performance (discover): --partition-cache-mib M (0 disables; default 256)\n\
+     performance (discover): --partition-cache-mib M (default 256; 0 means node-owned\n\
+              partitions, the shard engine's mode)\n\
      hybrid pre-filter (discover, exact mode; result-neutral): --sample-rounds N (default 2,\n\
               0 disables) --shards K | --shard-rows R (0 disables) — HyFD-style sampled\n\
               evidence plus per-shard minimal covers refute candidates before any\n\
